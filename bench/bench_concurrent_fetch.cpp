@@ -78,7 +78,7 @@ struct MultiSiteWorld {
                    "f" + std::to_string(i % 2)},
                   "in/" + std::to_string(concurrent) + "/" +
                       std::to_string(i),
-                  opts, nullptr, [&](gridftp::TransferResult) {
+                  opts, [&](gridftp::TransferResult) {
                     ++done;
                     launch_next();
                   });

@@ -115,8 +115,7 @@ int main() {
     const auto t0 = w.base.sim.now();
     gridftp::ReliableGet::start(
         *w.base.client, {{w.base.server_host->name(), "big.ncx"}}, "got.ncx",
-        opts, rel, nullptr,
-        [&](gridftp::ReliableResult r) { done = r.status.ok(); });
+        opts, rel, [&](gridftp::ReliableResult r) { done = r.status.ok(); });
     w.base.sim.run_while_pending([&] { return done; });
     gridftp_outage = common::to_seconds(w.base.sim.now() - t0);
   }

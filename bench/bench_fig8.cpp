@@ -57,6 +57,9 @@ struct Fig8World {
   std::unique_ptr<gridftp::GridFtpServer> server;
   std::unique_ptr<gridftp::GridFtpClient> client;
   common::BandwidthSampler sampler{kSecond};
+  std::shared_ptr<gridftp::ReliableGet> fetch;  // the file in flight
+  bench::ByteCursor cursor;                     // its bytes already sampled
+  sim::EventHandle sample_tick;
   int transfers_completed = 0;
   int attempts_total = 0;
 
@@ -98,6 +101,14 @@ struct Fig8World {
         registry);
   }
 
+  /// Pull the in-flight file's byte count at the sampler's period.
+  void start_sampling() {
+    sample_tick = sim.schedule_every(sampler.bucket(), [this] {
+      if (fetch) cursor.credit(sampler, sim.now(), fetch->bytes_done());
+      return true;
+    });
+  }
+
   void start_next_transfer() {
     if (sim.now() >= kRunLength) return;
     gridftp::TransferOptions opts;
@@ -109,16 +120,14 @@ struct Fig8World {
     rel.retry_backoff = 30 * kSecond;
     rel.max_attempts = 500;
 
-    auto last = std::make_shared<SimTime>(sim.now());
     const std::string local =
         "in/climate-2gb." + std::to_string(transfers_completed);
-    gridftp::ReliableGet::start(
+    cursor = {sim.now(), 0};
+    fetch = gridftp::ReliableGet::start(
         *client, {{"sender.dcc", "climate-2gb.ncx"}}, local, opts, rel,
-        [this, last](Bytes delta, Bytes, SimTime now) {
-          sampler.record_interval(*last, now, delta);
-          *last = now;
-        },
         [this](gridftp::ReliableResult r) {
+          cursor.credit(sampler, sim.now(), r.total_bytes);
+          fetch = nullptr;
           attempts_total += r.attempts;
           if (r.status.ok()) ++transfers_completed;
           // Old local copy is discarded; start over immediately, exactly
@@ -156,6 +165,7 @@ int main() {
                 down ? "BEGINS" : "ends");
   });
 
+  world.start_sampling();
   world.start_next_transfer();
   world.sim.run_until(kRunLength);
 

@@ -8,8 +8,8 @@
 //   * the retained reference (pre-dense, std::map) solver on the very same
 //     flow population — the speedup is measured inside this binary, not
 //     across commits,
-//   * steady-state poll tick cost, where the incremental path must skip the
-//     solver entirely (asserted via the reallocation counter),
+//   * an idle stretch with only unbounded transfers, which must fire no
+//     event at all (asserted via the simulation's event counter),
 //   * heap allocations per solve for both implementations (global
 //     operator new is instrumented below).
 //
@@ -65,10 +65,9 @@ struct ScaleResult {
   int flows = 0;
   double dense_us = 0.0;      // mean wall time of a forced solve (one touch)
   double reference_us = 0.0;  // mean wall time of the reference solver
-  double steady_us = 0.0;     // mean wall time of a solver-free poll tick
   double dense_allocs = 0.0;      // heap allocations per dense solve
   double reference_allocs = 0.0;  // heap allocations per reference solve
-  std::uint64_t steady_solves = 0;  // must be 0
+  std::uint64_t idle_events = 0;  // must be 0
   double max_rate_gap = 0.0;  // dense vs reference, sanity
 };
 
@@ -77,7 +76,7 @@ struct ScaleResult {
 ScaleResult run_scale(int n_flows, int solve_reps, es::Simulation& sim) {
   constexpr int kLinks = 16;
   constexpr int kNics = 64;
-  en::FluidNetwork fluid(sim, 100 * ec::kMillisecond);
+  en::FluidNetwork fluid(sim);
   ec::Rng rng(20260805);
 
   std::vector<en::Resource*> links, nics;
@@ -165,16 +164,12 @@ ScaleResult run_scale(int n_flows, int solve_reps, es::Simulation& sim) {
     out.max_rate_gap = std::max(out.max_rate_gap, gap);
   }
 
-  // Steady-state: advance through poll ticks with zero mutations; the
-  // incremental path must keep the solver cold.
+  // Idle: with zero mutations and no bounded transfer, advancing time
+  // must cost nothing — bytes accrue lazily, no event fires.
   {
-    const std::uint64_t solves_before = fluid.reallocations();
-    const ec::SimTime horizon = sim.now() + 2 * ec::kSecond;  // 20 ticks
-    const auto t0 = Clock::now();
-    sim.run_until(horizon);
-    const auto t1 = Clock::now();
-    out.steady_us = elapsed_us(t0, t1) / 20.0;
-    out.steady_solves = fluid.reallocations() - solves_before;
+    const std::uint64_t fired_before = sim.events_fired();
+    sim.run_until(sim.now() + 2 * ec::kSecond);
+    out.idle_events = sim.events_fired() - fired_before;
   }
 
   fluid.batch([&] {
@@ -201,7 +196,7 @@ struct IslandResult {
 /// rates untouched — the counters assert all three machine-independently.
 IslandResult run_islands(int n_islands, int per_island, int reps,
                          es::Simulation& sim) {
-  en::FluidNetwork fluid(sim, 100 * ec::kMillisecond);
+  en::FluidNetwork fluid(sim);
   ec::Rng rng(20260808);
 
   IslandResult out;
@@ -268,9 +263,9 @@ IslandResult run_islands(int n_islands, int per_island, int reps,
   }
   out.max_solve = fluid.max_solve_flows();
 
-  // Bounded-drain: one finite headless transfer per island, completed via
-  // its own calendar event; the run exercises the event queue with
-  // `n_islands` concurrent completion events plus poll ticks.
+  // Bounded-drain: one finite transfer per island, completed via its
+  // island's completion event; the run exercises the event queue with
+  // `n_islands` concurrent completion events.
   {
     std::vector<en::TransferId> bounded;
     fluid.batch([&] {
@@ -319,7 +314,7 @@ int main(int argc, char** argv) {
   // bench/baselines/: only machine-independent numbers go into it (alloc
   // counts, solver invariants, sim-time metrics) — never wall-clock times.
   esg::obs::RunManifest manifest;
-  bool steady_clean = true;
+  bool idle_clean = true;
   double worst_gap = 0.0;
   for (const int n : scales) {
     const ScaleResult r = run_scale(n, solve_reps, sim);
@@ -327,19 +322,19 @@ int main(int argc, char** argv) {
         r.dense_us > 0.0 ? r.reference_us / r.dense_us : 0.0;
     const double touches_per_sec =
         r.dense_us > 0.0 ? 1e6 / r.dense_us : 0.0;
-    steady_clean = steady_clean && r.steady_solves == 0;
+    idle_clean = idle_clean && r.idle_events == 0;
     worst_gap = std::max(worst_gap, r.max_rate_gap);
 
     std::printf(
         "\nflows=%d\n"
         "  solver/touch   dense %10.2f us   reference %10.2f us   (%.1fx)\n"
         "  touches/sec    dense %10.0f\n"
-        "  steady tick    %10.2f us   solver runs during polls: %llu\n"
+        "  events fired while idle: %llu\n"
         "  allocs/solve   dense %10.1f      reference %10.1f\n"
         "  max |rate gap| dense vs reference: %.3g B/s\n",
         r.flows, r.dense_us, r.reference_us, speedup, touches_per_sec,
-        r.steady_us, static_cast<unsigned long long>(r.steady_solves),
-        r.dense_allocs, r.reference_allocs, r.max_rate_gap);
+        static_cast<unsigned long long>(r.idle_events), r.dense_allocs,
+        r.reference_allocs, r.max_rate_gap);
 
     const std::string tag = "n=" + std::to_string(n);
     rows.push_back({tag + " solver us/touch (dense)", "-", fmt(r.dense_us, "us")});
@@ -348,19 +343,17 @@ int main(int argc, char** argv) {
     rows.push_back({tag + " speedup", ">=5x at n=5000", fmt(speedup, "x")});
     rows.push_back({tag + " touches/sec (dense)", "-",
                     fmt(touches_per_sec, "/s")});
-    rows.push_back({tag + " steady poll tick", "solver-free",
-                    fmt(r.steady_us, "us")});
     rows.push_back({tag + " allocs/solve (dense)", "-",
                     fmt(r.dense_allocs, "")});
     rows.push_back({tag + " allocs/solve (reference)", "-",
                     fmt(r.reference_allocs, "")});
-    rows.push_back({tag + " solver runs during polls", "0",
-                    std::to_string(r.steady_solves)});
+    rows.push_back({tag + " events fired while idle", "0",
+                    std::to_string(r.idle_events)});
 
     manifest.set_bench(tag + " allocs/solve (dense)", r.dense_allocs);
     manifest.set_bench(tag + " allocs/solve (reference)", r.reference_allocs);
-    manifest.set_bench(tag + " solver runs during polls",
-                       static_cast<double>(r.steady_solves));
+    manifest.set_bench(tag + " events fired while idle",
+                       static_cast<double>(r.idle_events));
     manifest.set_bench(tag + " max rate gap", r.max_rate_gap);
   }
 
@@ -438,8 +431,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(captured.flight_digest));
   }
 
-  if (!steady_clean) {
-    std::printf("FAIL: steady-state poll ticks invoked the solver\n");
+  if (!idle_clean) {
+    std::printf("FAIL: an idle network fired events\n");
     return 1;
   }
   if (worst_gap > 1e-3) {

@@ -80,7 +80,7 @@ double run_pipelined(HrmWorld& world) {
       opts.buffer_size = 2 * common::kMiB;
       opts.parallelism = 2;
       world.base.client->get(
-          {"server", name}, "pipelined/" + name, opts, nullptr,
+          {"server", name}, "pipelined/" + name, opts,
           [&completed, &hrm_client, name](gridftp::TransferResult) {
             hrm_client.release(name, [](common::Status) {});
             ++completed;

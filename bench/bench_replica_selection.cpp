@@ -105,7 +105,7 @@ PolicyResult run_policy(Policy policy) {
     opts.parallelism = 2;
     bool done = false;
     testbed.ftp_client().get({host, spec.name + "/" + file},
-                             "bench/" + file, opts, nullptr,
+                             "bench/" + file, opts,
                              [&](gridftp::TransferResult) { done = true; });
     testbed.run_until_flag(done);
   }

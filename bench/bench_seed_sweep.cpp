@@ -20,7 +20,6 @@ using common::Bytes;
 using common::kMillisecond;
 using common::kSecond;
 using common::Rate;
-using common::SimTime;
 
 namespace {
 
@@ -86,55 +85,16 @@ SweepPoint run_hour(std::uint64_t seed) {
         std::make_shared<storage::HostStorage>(), wallet, registry));
   }
 
-  struct Pump : std::enable_shared_from_this<Pump> {
-    gridftp::GridFtpClient* client = nullptr;
-    std::string server_name;
-    common::BandwidthSampler* sampler = nullptr;
-    sim::Simulation* sim = nullptr;
-    int active = 0;
-    int next_copy = 0;
-    std::uint64_t seq = 0;
-
-    void launch() {
-      if (active >= 4) return;
-      ++active;
-      const int copy = next_copy;
-      next_copy = (next_copy + 1) % 4;
-      gridftp::TransferOptions opts;
-      opts.buffer_size = common::kMiB;
-      opts.use_channel_cache = false;
-      opts.stall_timeout = 60 * kSecond;
-      auto self = shared_from_this();
-      auto launched = std::make_shared<bool>(false);
-      auto last = std::make_shared<SimTime>(sim->now());
-      client->get({server_name, "p" + std::to_string(copy)},
-                  "in/" + std::to_string(seq++), opts,
-                  [self, launched, last](Bytes delta, Bytes total,
-                                         SimTime now) {
-                    self->sampler->record_interval(*last, now, delta);
-                    *last = now;
-                    if (!*launched && total >= kPartition / 4) {
-                      *launched = true;
-                      self->launch();
-                    }
-                  },
-                  [self, launched](gridftp::TransferResult) {
-                    --self->active;
-                    if (!*launched) *launched = true;
-                    self->launch();
-                  });
-    }
-  };
-  std::vector<std::shared_ptr<Pump>> pumps;
+  gridftp::TransferOptions opts;
+  opts.buffer_size = common::kMiB;
+  opts.use_channel_cache = false;
+  opts.stall_timeout = 60 * kSecond;
+  bench::PartitionPumps pumps(sim, sampler, kPartition, kCopies, opts);
   for (int i = 0; i < kServers; ++i) {
-    auto pump = std::make_shared<Pump>();
-    pump->client = clients[static_cast<std::size_t>(i)].get();
-    pump->server_name = "d" + std::to_string(i);
-    pump->sampler = &sampler;
-    pump->sim = &sim;
-    pumps.push_back(pump);
-    pump->launch();
+    pumps.add({clients[static_cast<std::size_t>(i)].get(),
+               "d" + std::to_string(i), "p"});
   }
+  pumps.start();
   sim.run_until(common::kHour);
 
   SweepPoint point;

@@ -33,7 +33,6 @@ using common::kMiB;
 using common::kMillisecond;
 using common::kSecond;
 using common::Rate;
-using common::SimTime;
 
 namespace {
 
@@ -115,63 +114,23 @@ struct Table1World {
     }
   }
 
-  /// Per-server pipelined fetch loop: start a copy, and when it passes 25%
-  /// launch the next, keeping up to kCopiesPerServer in flight (paper §7).
-  struct ServerPump : std::enable_shared_from_this<ServerPump> {
-    Table1World* world = nullptr;
-    int server = 0;
-    int active = 0;
-    int next_copy = 0;
-    std::uint64_t fetch_seq = 0;
-
-    void launch() {
-      if (active >= kCopiesPerServer) return;
-      ++active;
-      const int copy = next_copy;
-      next_copy = (next_copy + 1) % kCopiesPerServer;
-
-      gridftp::TransferOptions opts;
-      opts.buffer_size = kMiB;            // the paper's choice
-      opts.use_channel_cache = false;     // SC'2000-era behaviour
-      opts.parallelism = 1;
-      opts.stall_timeout = 60 * kSecond;
-      auto self = shared_from_this();
-      const std::string src_file = "partition" + std::to_string(server) +
-                                   "." + std::to_string(copy);
-      const std::string local = "in/" + src_file + "." +
-                                std::to_string(fetch_seq++);
-      auto launched_next = std::make_shared<bool>(false);
-      auto last_progress = std::make_shared<SimTime>(world->sim.now());
-      world->clients[static_cast<std::size_t>(server)]->get(
-          {"dallas" + std::to_string(server), src_file}, local, opts,
-          [self, launched_next, last_progress](Bytes delta, Bytes total,
-                                               SimTime now) {
-            self->world->sampler.record_interval(*last_progress, now, delta);
-            *last_progress = now;
-            if (!*launched_next && total >= kPartition / 4) {
-              *launched_next = true;
-              self->launch();  // 25% complete: pipeline the next copy
-            }
-          },
-          [self, launched_next](gridftp::TransferResult) {
-            --self->active;
-            if (!*launched_next) *launched_next = true;
-            self->launch();  // keep the pipe full
-          });
-    }
-  };
-
-  std::vector<std::shared_ptr<ServerPump>> pumps;
-
   void start() {
+    gridftp::TransferOptions opts;
+    opts.buffer_size = kMiB;            // the paper's choice
+    opts.use_channel_cache = false;     // SC'2000-era behaviour
+    opts.parallelism = 1;
+    opts.stall_timeout = 60 * kSecond;
+    pumps = std::make_unique<bench::PartitionPumps>(
+        sim, sampler, kPartition, kCopiesPerServer, opts);
     for (int i = 0; i < kServers; ++i) {
-      auto pump = std::make_shared<ServerPump>();
-      pump->world = this;
-      pump->server = i;
-      pumps.push_back(pump);
-      pump->launch();
+      pumps->add({clients[static_cast<std::size_t>(i)].get(),
+                  "dallas" + std::to_string(i),
+                  "partition" + std::to_string(i) + "."});
     }
+    pumps->start();
   }
+
+  std::unique_ptr<bench::PartitionPumps> pumps;
 };
 
 }  // namespace

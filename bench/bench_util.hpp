@@ -3,11 +3,13 @@
 // the ablation benches.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "common/units.hpp"
 #include "gridftp/client.hpp"
 #include "obs/export.hpp"
@@ -72,7 +74,7 @@ struct SimpleWorld {
     bool ok = false;
     const auto t0 = sim.now();
     client->get({"server", name}, "local/" + name +
-                    std::to_string(fetch_seq_++), opts, nullptr,
+                    std::to_string(fetch_seq_++), opts,
                 [&](gridftp::TransferResult r) {
                   ok = r.status.ok();
                   done = true;
@@ -83,6 +85,118 @@ struct SimpleWorld {
 
  private:
   std::uint64_t fetch_seq_ = 0;
+};
+
+/// Credits a transfer's pulled byte count to a BandwidthSampler: each
+/// credit() spreads the growth since the previous one over the interval
+/// between them.
+struct ByteCursor {
+  common::SimTime at = 0;
+  common::Bytes bytes = 0;
+
+  void credit(common::BandwidthSampler& sampler, common::SimTime now,
+              common::Bytes current) {
+    if (current > bytes) sampler.record_interval(at, now, current - bytes);
+    at = now;
+    bytes = current;
+  }
+};
+
+/// Table 1's per-server fetch loop (paper §7): each server holds `copies`
+/// copies of its partition and starts the GET of the next copy once the
+/// newest passes 25%, keeping up to `copies` in flight.  Progress is pulled
+/// from the handles at the sampler's bucket period, which is also when the
+/// 25% check runs.
+class PartitionPumps {
+ public:
+  struct Server {
+    gridftp::GridFtpClient* client = nullptr;
+    std::string host;         // source server
+    std::string copy_prefix;  // copy c is named copy_prefix + c
+  };
+
+  PartitionPumps(sim::Simulation& sim, common::BandwidthSampler& sampler,
+                 common::Bytes partition, int copies,
+                 gridftp::TransferOptions options)
+      : sim_(sim),
+        sampler_(sampler),
+        partition_(partition),
+        copies_(copies),
+        options_(std::move(options)) {}
+
+  void add(Server server) { pumps_.emplace_back().server = std::move(server); }
+
+  /// Launch every server's first copy and start sampling.
+  void start() {
+    for (std::size_t p = 0; p < pumps_.size(); ++p) launch(p);
+    tick_ = sim_.schedule_every(sampler_.bucket(), [this] {
+      sample();
+      return true;
+    });
+  }
+
+ private:
+  struct Fetch {
+    std::uint64_t seq = 0;
+    std::shared_ptr<gridftp::TransferHandle> handle;
+    ByteCursor cursor;
+    bool launched_next = false;
+  };
+  struct Pump {
+    Server server;
+    int next_copy = 0;
+    std::uint64_t seq = 0;
+    std::vector<Fetch> fetches;
+  };
+
+  void launch(std::size_t p) {
+    Pump& pump = pumps_[p];
+    if (static_cast<int>(pump.fetches.size()) >= copies_) return;
+    const std::string file =
+        pump.server.copy_prefix + std::to_string(pump.next_copy);
+    pump.next_copy = (pump.next_copy + 1) % copies_;
+    const std::uint64_t seq = pump.seq++;
+    // get() always completes from a later event, so listing the fetch after
+    // the call is safe.
+    auto handle = pump.server.client->get(
+        {pump.server.host, file}, "in/" + file + "." + std::to_string(seq),
+        options_, [this, p, seq](gridftp::TransferResult r) {
+          finished(p, seq, r.bytes_transferred);
+        });
+    pump.fetches.push_back(
+        Fetch{seq, std::move(handle), ByteCursor{sim_.now(), 0}});
+  }
+
+  void sample() {
+    for (std::size_t p = 0; p < pumps_.size(); ++p) {
+      int launches = 0;
+      for (Fetch& f : pumps_[p].fetches) {
+        f.cursor.credit(sampler_, sim_.now(), f.handle->delivered());
+        if (!f.launched_next && f.cursor.bytes >= partition_ / 4) {
+          f.launched_next = true;
+          ++launches;  // 25% complete: pipeline the next copy
+        }
+      }
+      for (; launches > 0; --launches) launch(p);
+    }
+  }
+
+  void finished(std::size_t p, std::uint64_t seq, common::Bytes bytes) {
+    auto& fetches = pumps_[p].fetches;
+    auto it = std::find_if(fetches.begin(), fetches.end(),
+                           [seq](const Fetch& f) { return f.seq == seq; });
+    it->cursor.credit(sampler_, sim_.now(), bytes);
+    fetches.erase(it);
+    launch(p);  // keep the pipe full
+  }
+
+  sim::Simulation& sim_;
+  common::BandwidthSampler& sampler_;
+  common::Bytes partition_;
+  int copies_;
+  gridftp::TransferOptions options_;
+  std::vector<Pump> pumps_;
+  sim::EventHandle tick_;
 };
 
 inline void print_header(const std::string& title) {

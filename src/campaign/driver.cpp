@@ -156,7 +156,7 @@ void CampaignDriver::start_task(SiteQueue& sq, std::uint32_t file_index) {
   }
   auto get = gridftp::ReliableGet::start(
       *sq.endpoint.client, f.sources, local_name, transfer, rel,
-      nullptr, [this, &sq, file_index](gridftp::ReliableResult r) {
+      [this, &sq, file_index](gridftp::ReliableResult r) {
         task_finished(sq, file_index, std::move(r));
       });
   active_[file_index] = std::move(get);

@@ -29,7 +29,6 @@ struct GridFtpClient::Op : TransferHandle,
   std::string local_name;  // local file (get: sink, put: source)
   std::string dst_path;    // remote destination path (put / third_party)
   TransferOptions options;
-  ProgressCallback progress;
   CompletionCallback done_cb;
 
   TransferResult result;
@@ -40,6 +39,7 @@ struct GridFtpClient::Op : TransferHandle,
   Bytes effective_size = 0;
   Bytes attempt_bytes = 0;
   bool warm = false;
+  bool settled = false;          // settle() ran for the data phase
   bool finished = false;
   bool aborted_ = false;
   bool verify_started = false;   // checksum pass scheduled (one-shot)
@@ -51,7 +51,8 @@ struct GridFtpClient::Op : TransferHandle,
   void abort() override {
     if (finished || aborted_) return;
     aborted_ = true;
-    if (tcp) attempt_bytes = tcp->cancel();
+    settle();
+    size_local_file();
     finished = true;
     sim().tracer().end(verify_span);  // no-op unless mid-verification
     span.set_attr("status", "aborted");
@@ -60,7 +61,6 @@ struct GridFtpClient::Op : TransferHandle,
     // captures (typically the retry layer, which in turn holds this op)
     // don't form a reference cycle.
     done_cb = nullptr;
-    progress = nullptr;
   }
   Bytes delivered() const override {
     if (tcp && tcp->active()) return tcp->delivered();
@@ -70,10 +70,29 @@ struct GridFtpClient::Op : TransferHandle,
 
   sim::Simulation& sim() { return client->orb_.network().simulation(); }
 
+  /// Close the data channel and credit the attempt's bytes to the
+  /// per-server counter, once per attempt.
+  void settle() {
+    if (!tcp || settled) return;
+    settled = true;
+    attempt_bytes = tcp->cancel();
+    channel_bytes->add(static_cast<std::uint64_t>(attempt_bytes));
+  }
+
+  /// Size a GET's local file to the restart marker plus this attempt's
+  /// bytes: the partial file a restart resumes.  A landed file is sized by
+  /// attach_content() instead.
+  void size_local_file() {
+    if (kind != Kind::get || !tcp) return;
+    (void)client->storage_->resize(local_name,
+                                   options.restart_offset + attempt_bytes);
+  }
+
   void fail(Error error) {
     if (finished) return;
     finished = true;
-    if (tcp) attempt_bytes = std::max(attempt_bytes, tcp->cancel());
+    settle();
+    size_local_file();
     sim().tracer().end(verify_span);
     result.status = Status(std::move(error));
     result.bytes_transferred = attempt_bytes;
@@ -92,11 +111,10 @@ struct GridFtpClient::Op : TransferHandle,
       }
       client->warm_channels_.erase(key);
     }
-    // Terminal: move the completion out and drop both callbacks so the op
-    // doesn't keep its owner alive through their captures.
+    // Terminal: move the completion out and drop it so the op doesn't keep
+    // its owner alive through its captures.
     auto done = std::move(done_cb);
     done_cb = nullptr;
-    progress = nullptr;
     if (done) done(std::move(result));
   }
 
@@ -156,7 +174,6 @@ struct GridFtpClient::Op : TransferHandle,
         WarmChannel{sim().now(), options.parallelism};
     auto done = std::move(done_cb);
     done_cb = nullptr;
-    progress = nullptr;
     if (done) done(std::move(result));
   }
 
@@ -289,8 +306,8 @@ struct GridFtpClient::Op : TransferHandle,
     channel_bytes = &sim().metrics().counter("gridftp_channel_bytes_total",
                                              {{"server", server_key()}});
 
-    // For a fresh GET, materialize the growing local file so size polling
-    // (the request manager's monitor) observes arrival.
+    // For a fresh GET, materialize the local file at the restart marker;
+    // it is sized again when the attempt ends.
     if (kind == Kind::get) {
       if (!client->storage_->exists(local_name)) {
         (void)client->storage_->put(
@@ -322,19 +339,10 @@ struct GridFtpClient::Op : TransferHandle,
 
     auto self = shared_from_this();
     net::TcpCallbacks cbs;
-    cbs.on_progress = [self](Bytes delta, SimTime now) {
-      if (self->finished) return;
-      self->attempt_bytes += delta;
-      if (self->channel_bytes) self->channel_bytes->add(delta);
-      const Bytes total = self->options.restart_offset + self->attempt_bytes;
-      if (self->kind == Kind::get) {
-        (void)self->client->storage_->resize(self->local_name, total);
-      }
-      if (self->progress) self->progress(delta, total, now);
-    };
     cbs.on_complete = [self](Status st) {
       if (self->finished) return;
       if (!st.ok()) return self->fail(st.error());
+      self->settle();
       if (!self->attach_content()) return self->fail_lost_ticket();
       self->succeed();
     };
@@ -366,7 +374,10 @@ struct GridFtpClient::Op : TransferHandle,
       return true;
     }
     GridFtpServer* src = client->registry_.find(src_host->name());
-    if (src == nullptr) return true;
+    if (src == nullptr) {
+      size_local_file();  // content stays synthetic
+      return true;
+    }
     auto resolved = src->resolve_ticket(ticket);
     if (!resolved) return false;
     file = std::move(*resolved);
@@ -477,8 +488,7 @@ void GridFtpClient::invalidate_channels(const std::string& server_host) {
 
 std::shared_ptr<TransferHandle> GridFtpClient::get(
     const FtpUrl& src, const std::string& local_name,
-    const TransferOptions& options, ProgressCallback progress,
-    CompletionCallback done) {
+    const TransferOptions& options, CompletionCallback done) {
   auto op = std::make_shared<Op>();
   op->client = this;
   op->kind = Op::Kind::get;
@@ -487,7 +497,6 @@ std::shared_ptr<TransferHandle> GridFtpClient::get(
   op->src_path = src.path;
   op->local_name = local_name;
   op->options = options;
-  op->progress = std::move(progress);
   op->done_cb = std::move(done);
   if (op->src_host == nullptr) {
     orb_.network().simulation().schedule_after(0, [op, src] {

@@ -59,14 +59,13 @@ class GridFtpClient {
                 security::CredentialWallet wallet,
                 const ServerRegistry& registry);
 
-  /// Fetch `src` into the local namespace as `local_name`.  The local file
-  /// grows as bytes arrive (the request manager's monitor polls its size).
-  /// On failure the result carries bytes_transferred so the caller can
-  /// restart from a marker.
+  /// Fetch `src` into the local namespace as `local_name`.  Progress is
+  /// pulled from the handle's delivered(); the local file is sized once,
+  /// when the attempt ends.  On failure the result carries
+  /// bytes_transferred so the caller can restart from a marker.
   std::shared_ptr<TransferHandle> get(const FtpUrl& src,
                                       const std::string& local_name,
                                       const TransferOptions& options,
-                                      ProgressCallback progress,
                                       CompletionCallback done);
 
   /// Store a local file at `dst`.

@@ -75,7 +75,7 @@ struct MultiSourceState : std::enable_shared_from_this<MultiSourceState> {
       opts.eret_params = std::to_string(ranges[r].first) + ":" +
                          std::to_string(ranges[r].second);
       ReliableGet::start(*client, std::move(order), range_local_name(r),
-                         opts, options.reliability, nullptr,
+                         opts, options.reliability,
                          [self](ReliableResult rr) {
                            self->range_finished(rr);
                          });

@@ -11,12 +11,12 @@ using common::Status;
 std::shared_ptr<ReliableGet> ReliableGet::start(
     GridFtpClient& client, std::vector<FtpUrl> replicas,
     std::string local_name, TransferOptions options,
-    ReliabilityOptions reliability, ProgressCallback progress,
+    ReliabilityOptions reliability,
     std::function<void(ReliableResult)> done) {
   assert(!replicas.empty());
   auto self = std::shared_ptr<ReliableGet>(new ReliableGet(
       client, std::move(replicas), std::move(local_name), options, reliability,
-      std::move(progress), std::move(done)));
+      std::move(done)));
   self->self_ = self;
   self->result_.started = client.simulation().now();
   self->attempt();
@@ -26,19 +26,28 @@ std::shared_ptr<ReliableGet> ReliableGet::start(
 ReliableGet::ReliableGet(GridFtpClient& client, std::vector<FtpUrl> replicas,
                          std::string local_name, TransferOptions options,
                          ReliabilityOptions reliability,
-                         ProgressCallback progress,
                          std::function<void(ReliableResult)> done)
     : client_(client),
       replicas_(std::move(replicas)),
       local_name_(std::move(local_name)),
       options_(options),
       reliability_(reliability),
-      progress_(std::move(progress)),
       done_(std::move(done)) {}
+
+Bytes ReliableGet::bytes_done() const {
+  if (handle_ && handle_->active()) return offset_ + handle_->delivered();
+  return offset_;
+}
+
+void ReliableGet::abandon_attempt() {
+  if (!handle_ || !handle_->active()) return;
+  handle_->abort();
+  offset_ += handle_->delivered();
+}
 
 void ReliableGet::abort() {
   if (finished_) return;
-  if (handle_) handle_->abort();
+  abandon_attempt();
   finish(Error{Errc::aborted, "reliable get aborted"});
 }
 
@@ -82,11 +91,6 @@ void ReliableGet::attempt() {
   auto self = shared_from_this();
   handle_ = client_.get(
       current_replica(), local_name_, opts,
-      [self](Bytes delta, Bytes total, SimTime now) {
-        if (self->finished_) return;
-        self->offset_ = total;
-        if (self->progress_) self->progress_(delta, total, now);
-      },
       [self](TransferResult r) { self->attempt_finished(std::move(r)); });
   window_start_bytes_ = offset_;
   arm_rate_monitor();
@@ -176,7 +180,7 @@ void ReliableGet::arm_attempt_timer() {
             {{"host", self->current_replica().host},
              {"attempt", std::to_string(self->result_.attempts)}},
             self->options_.obs_track);
-        self->handle_->abort();
+        self->abandon_attempt();
         self->report_outcome(false);
         self->rotate_replica();
         self->schedule_retry();
@@ -192,8 +196,9 @@ void ReliableGet::arm_rate_monitor() {
         if (self->finished_ || !self->handle_ || !self->handle_->active()) {
           return false;
         }
-        const Bytes window_bytes = self->offset_ - self->window_start_bytes_;
-        self->window_start_bytes_ = self->offset_;
+        const Bytes done = self->bytes_done();
+        const Bytes window_bytes = done - self->window_start_bytes_;
+        self->window_start_bytes_ = done;
         const Rate achieved =
             static_cast<double>(window_bytes) /
             common::to_seconds(self->reliability_.eval_window);
@@ -207,7 +212,7 @@ void ReliableGet::arm_rate_monitor() {
               {{"host", self->current_replica().host},
                {"achieved_Bps", std::to_string(achieved)}},
               self->options_.obs_track);
-          self->handle_->abort();
+          self->abandon_attempt();
           self->report_outcome(false);
           self->rotate_replica();
           self->attempt();
@@ -221,12 +226,10 @@ void ReliableGet::attempt_finished(TransferResult r) {
   if (finished_) return;
   monitor_.cancel();
   attempt_timer_.cancel();
+  offset_ += r.bytes_transferred;
   result_.total_bytes = offset_;
   if (r.status.ok()) {
     report_outcome(true);
-    // The server's completion reply is authoritative for the byte count;
-    // progress-delta integerization can run a few bytes short.
-    offset_ = std::max(offset_, r.file_size);
     return finish(common::ok_status());
   }
   report_outcome(false);
@@ -258,7 +261,6 @@ void ReliableGet::finish(Status status) {
   result_.status = std::move(status);
   result_.finished = client_.simulation().now();
   result_.total_bytes = offset_;
-  progress_ = nullptr;  // may capture the owner; the op no longer needs it
   auto done = std::move(done_);
   auto self = std::move(self_);  // drop keep-alive after the callback returns
   if (done) done(std::move(result_));

@@ -7,7 +7,8 @@
 // was restored" — that is Figure 8's story.
 //
 // ReliableGet wraps GridFtpClient::get with:
-//   * restart markers: each retry resumes at the byte count already landed;
+//   * restart markers: each retry resumes at the byte count already landed
+//     (the failed attempt's offset plus the bytes it moved);
 //   * a rate monitor: if the average rate over `eval_window` falls below
 //     `min_rate`, the current attempt is abandoned and the next replica
 //     (round-robin over the candidate list) is tried;
@@ -62,12 +63,14 @@ class ReliableGet : public std::enable_shared_from_this<ReliableGet> {
   static std::shared_ptr<ReliableGet> start(
       GridFtpClient& client, std::vector<FtpUrl> replicas,
       std::string local_name, TransferOptions options,
-      ReliabilityOptions reliability, ProgressCallback progress,
+      ReliabilityOptions reliability,
       std::function<void(ReliableResult)> done);
 
   void abort();
   bool active() const { return !finished_; }
-  Bytes delivered() const { return offset_; }
+  /// Bytes landed so far: the restart marker plus the live attempt's
+  /// bytes, pulled from the network.
+  Bytes bytes_done() const;
   /// URL currently being fetched from.
   const FtpUrl& current_replica() const {
     return replicas_[replica_index_ % replicas_.size()];
@@ -76,7 +79,7 @@ class ReliableGet : public std::enable_shared_from_this<ReliableGet> {
  private:
   ReliableGet(GridFtpClient& client, std::vector<FtpUrl> replicas,
               std::string local_name, TransferOptions options,
-              ReliabilityOptions reliability, ProgressCallback progress,
+              ReliabilityOptions reliability,
               std::function<void(ReliableResult)> done);
 
   void attempt();
@@ -85,6 +88,8 @@ class ReliableGet : public std::enable_shared_from_this<ReliableGet> {
   void rotate_replica();
   void schedule_retry();
   void report_outcome(bool ok);
+  /// Abort the live attempt and advance the marker past its bytes.
+  void abandon_attempt();
   void arm_rate_monitor();
   void arm_attempt_timer();
   void finish(common::Status status);
@@ -94,14 +99,13 @@ class ReliableGet : public std::enable_shared_from_this<ReliableGet> {
   std::string local_name_;
   TransferOptions options_;
   ReliabilityOptions reliability_;
-  ProgressCallback progress_;
   std::function<void(ReliableResult)> done_;
 
   std::shared_ptr<TransferHandle> handle_;
   sim::EventHandle monitor_;
   sim::EventHandle attempt_timer_;
   ReliableResult result_;
-  Bytes offset_ = 0;          // restart marker: bytes already landed
+  Bytes offset_ = 0;  // restart marker: bytes landed by finished attempts
   Bytes window_start_bytes_ = 0;
   std::size_t replica_index_ = 0;
   bool finished_ = false;

@@ -7,8 +7,7 @@ namespace esg::gridftp {
 StripedTransfer::StripedTransfer(GridFtpClient& client,
                                  std::vector<StripeEndpoint> stripes,
                                  TransferOptions options,
-                                 std::function<void(StripedResult)> done,
-                                 ProgressCallback progress)
+                                 std::function<void(StripedResult)> done)
     : client_(client), stripes_(std::move(stripes)), done_(std::move(done)) {
   result_.stripes.resize(stripes_.size());
   outstanding_ = stripes_.size();
@@ -23,7 +22,6 @@ StripedTransfer::StripedTransfer(GridFtpClient& client,
         s.source, FtpUrl{s.dest_host, s.dest_path}, options,
         [this, i](TransferResult r) { stripe_done(i, std::move(r)); });
     handles_.push_back(std::move(handle));
-    (void)progress;  // per-stripe progress not surfaced; use delivered()
   }
 }
 

@@ -41,8 +41,7 @@ class StripedTransfer {
  public:
   StripedTransfer(GridFtpClient& client, std::vector<StripeEndpoint> stripes,
                   TransferOptions options,
-                  std::function<void(StripedResult)> done,
-                  ProgressCallback progress = nullptr);
+                  std::function<void(StripedResult)> done);
 
   void abort();
   bool active() const { return !finished_; }

@@ -262,7 +262,7 @@ void striped_volume_get(GridFtpClient& client, const net::Host& frontend,
           ReliableGet::start(
               *state->client, {FtpUrl{extent.host, extent.path}},
               state->stripe_local_name(extent.path), options, reliability,
-              nullptr, [state](ReliableResult rr) {
+              [state](ReliableResult rr) {
                 state->stripe_finished(rr);
               });
         }

@@ -69,8 +69,6 @@ struct TransferResult {
   }
 };
 
-using ProgressCallback =
-    std::function<void(Bytes delta, Bytes total_so_far, SimTime now)>;
 using CompletionCallback = std::function<void(TransferResult)>;
 
 /// Client-side instrumentation, exercised by the channel-caching ablation.

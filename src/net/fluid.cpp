@@ -12,19 +12,14 @@ constexpr double kRateEps = 1e-6;
 constexpr double kByteEps = 0.5;  // "done" when less than half a byte remains
 }  // namespace
 
-FluidNetwork::FluidNetwork(sim::Simulation& simulation,
-                           SimDuration poll_interval)
-    : sim_(simulation), poll_interval_(poll_interval) {
-  observed_integration_ = sim_.now();
+FluidNetwork::FluidNetwork(sim::Simulation& simulation) : sim_(simulation) {
   components_gauge_ = &sim_.metrics().gauge("net_components");
   solve_size_gauge_ = &sim_.metrics().gauge("net_component_solve_size");
   components_gauge_->set(0.0);
 }
 
 FluidNetwork::~FluidNetwork() {
-  next_event_.cancel();
-  poll_event_.cancel();
-  for (auto& t : transfer_pool_) t.completion.cancel();
+  for (auto& c : comp_pool_) c.completion.cancel();
 }
 
 Resource* FluidNetwork::add_resource(std::string name, Rate capacity) {
@@ -168,6 +163,8 @@ std::uint32_t FluidNetwork::alloc_comp() {
 
 void FluidNetwork::free_comp(std::uint32_t cid) {
   Component& c = comp_pool_[cid];
+  c.completion.cancel();  // merged away or emptied: its transfers moved on
+  c.due_at = kNever;
   c.flows.clear();
   c.resources.clear();
   c.live = false;
@@ -373,12 +370,10 @@ TransferId FluidNetwork::start_transfer(std::vector<FlowSpec> flows,
   t.id = next_id_++;
   t.total = total < 0 ? -1.0 : static_cast<double>(total);
   t.delivered = 0.0;
-  t.reported = 0.0;
   t.cached_rate = 0.0;
   t.last_integrated = sim_.now();
-  t.callbacks = std::move(callbacks);
-  t.observed = static_cast<bool>(t.callbacks.on_progress) ||
-               static_cast<bool>(t.callbacks.on_complete);
+  t.stalled_since = sim_.now();
+  t.on_complete = std::move(callbacks.on_complete);
   t.flows.clear();
   t.flows.reserve(flows.size());
   for (const auto& spec : flows) {
@@ -389,10 +384,7 @@ TransferId FluidNetwork::start_transfer(std::vector<FlowSpec> flows,
   }
   const TransferId id = t.id;
   index_.emplace(id, tslot);
-  if (t.observed) observed_.emplace(id, tslot);
-  on_mutation();
-  // A zero-byte transfer may already have completed inside touch().
-  if (!index_.empty()) ensure_polling();
+  on_mutation();  // a zero-byte transfer completes inside this touch
   return id;
 }
 
@@ -400,13 +392,9 @@ Bytes FluidNetwork::cancel_transfer(TransferId id) {
   auto it = index_.find(id);
   if (it == index_.end()) return 0;
   const std::uint32_t tslot = it->second;
-  Transfer& t = transfer_pool_[tslot];
   // Account bytes up to this instant before dropping the transfer.
-  if (t.observed) {
-    integrate_observed();
-  } else {
-    integrate_transfer(tslot);
-  }
+  integrate_transfer(tslot);
+  const Transfer& t = transfer_pool_[tslot];
   const auto delivered = static_cast<Bytes>(t.delivered + kByteEps);
   erase_transfer_slot(tslot);
   on_mutation();
@@ -415,9 +403,7 @@ Bytes FluidNetwork::cancel_transfer(TransferId id) {
 
 void FluidNetwork::erase_transfer_slot(std::uint32_t tslot) {
   Transfer& t = transfer_pool_[tslot];
-  t.completion.cancel();
   for (const std::uint32_t fslot : t.flows) remove_flow(fslot);
-  observed_.erase(t.id);
   index_.erase(t.id);
   t = Transfer{};
   transfer_free_.push_back(tslot);
@@ -472,8 +458,7 @@ Bytes FluidNetwork::transferred(TransferId id) const {
   if (it == index_.end()) return 0;
   const Transfer& t = transfer_pool_[it->second];
   // Include bytes accrued since the transfer's last integration point.
-  const SimTime since = t.observed ? observed_integration_ : t.last_integrated;
-  const double dt = common::to_seconds(sim_.now() - since);
+  const double dt = common::to_seconds(sim_.now() - t.last_integrated);
   double v = t.delivered + t.cached_rate * dt;
   if (t.total >= 0.0) v = std::min(v, t.total);
   return static_cast<Bytes>(v + kByteEps);
@@ -486,8 +471,7 @@ Bytes FluidNetwork::flow_transferred(TransferId id,
   const Transfer& t = transfer_pool_[it->second];
   if (flow_index >= t.flows.size()) return 0;
   const Flow& f = flow_pool_[t.flows[flow_index]];
-  const SimTime since = t.observed ? observed_integration_ : t.last_integrated;
-  const double dt = common::to_seconds(sim_.now() - since);
+  const double dt = common::to_seconds(sim_.now() - t.last_integrated);
   double v = f.delivered + f.rate * dt;
   // A single flow can never carry more than the pool holds; float accrual
   // at completion would otherwise over-report (the pool itself clamps).
@@ -508,6 +492,13 @@ Rate FluidNetwork::flow_rate(TransferId id, std::size_t flow_index) const {
   return flow_pool_[t.flows[flow_index]].rate;
 }
 
+SimTime FluidNetwork::stalled_since(TransferId id) const {
+  auto it = index_.find(id);
+  if (it == index_.end()) return sim_.now();
+  const Transfer& t = transfer_pool_[it->second];
+  return t.cached_rate > 0.0 ? sim_.now() : t.stalled_since;
+}
+
 bool FluidNetwork::same_component(const Resource* a, const Resource* b) const {
   if (a == nullptr || b == nullptr) return false;
   const std::uint32_t ca = res_comp_[a->id()];
@@ -518,7 +509,12 @@ void FluidNetwork::update() { touch(); }
 
 // ---- integration ----
 
-void FluidNetwork::integrate_transfer_span(Transfer& t, double dt) {
+void FluidNetwork::integrate_transfer(std::uint32_t tslot) {
+  Transfer& t = transfer_pool_[tslot];
+  const SimTime now = sim_.now();
+  if (now <= t.last_integrated) return;
+  const double dt = common::to_seconds(now - t.last_integrated);
+  t.last_integrated = now;
   if (t.cached_rate <= 0.0) return;
   double earned = 0.0;
   for (const std::uint32_t fslot : t.flows) {
@@ -528,31 +524,11 @@ void FluidNetwork::integrate_transfer_span(Transfer& t, double dt) {
     f.delivered += d;
     earned += d;
   }
-  if (earned <= 0.0) return;
   // Never drain past the pool: clamp (floating error at completion).
   if (t.total >= 0.0 && t.delivered + earned > t.total) {
     earned = t.total - t.delivered;
   }
   t.delivered += earned;
-}
-
-void FluidNetwork::integrate_observed() {
-  const SimTime now = sim_.now();
-  if (now <= observed_integration_) return;
-  const double dt = common::to_seconds(now - observed_integration_);
-  observed_integration_ = now;
-  for (const auto& [id, tslot] : observed_) {
-    integrate_transfer_span(transfer_pool_[tslot], dt);
-  }
-}
-
-void FluidNetwork::integrate_transfer(std::uint32_t tslot) {
-  Transfer& t = transfer_pool_[tslot];
-  const SimTime now = sim_.now();
-  if (now <= t.last_integrated) return;
-  const double dt = common::to_seconds(now - t.last_integrated);
-  t.last_integrated = now;
-  integrate_transfer_span(t, dt);
 }
 
 // ---- solving ----
@@ -577,9 +553,8 @@ void FluidNetwork::solve_component(std::uint32_t cid) {
   // reproduces the pre-partitioned global solver bit-for-bit.
   Component& c = comp_pool_[cid];
 
-  // Integrate the component's headless transfers at their outgoing rates
-  // before those rates change (observed transfers were already integrated
-  // by the touch's shared pass).
+  // Integrate the component's transfers at their outgoing rates before
+  // those rates change.
   ++mark_epoch_;
   transfer_scratch_.clear();
   for (const std::uint32_t fslot : c.flows) {
@@ -587,7 +562,7 @@ void FluidNetwork::solve_component(std::uint32_t cid) {
     if (transfer_mark_[tslot] == mark_epoch_) continue;
     transfer_mark_[tslot] = mark_epoch_;
     transfer_scratch_.push_back(tslot);
-    if (!transfer_pool_[tslot].observed) integrate_transfer(tslot);
+    integrate_transfer(tslot);
   }
 
   entries_scratch_.clear();
@@ -679,24 +654,28 @@ void FluidNetwork::solve_component(std::uint32_t cid) {
   }
 
   // Refresh the per-transfer aggregate cache the rest of the network (rate
-  // queries, completion prediction, byte integration) reads, and keep the
-  // headless completion events honest.
+  // queries, byte integration, the stall clock) reads, and predict the
+  // component's next completion from the fresh rates.
+  const SimTime now = sim_.now();
+  double earliest = std::numeric_limits<double>::infinity();
   for (const std::uint32_t tslot : transfer_scratch_) {
     Transfer& t = transfer_pool_[tslot];
-    const Rate before = t.cached_rate;
     Rate sum = 0.0;
     for (const std::uint32_t fslot : t.flows) sum += flow_pool_[fslot].rate;
+    if (sum <= 0.0 && t.cached_rate > 0.0) t.stalled_since = now;
     t.cached_rate = sum;
-    if (t.observed || t.total < 0.0) continue;
-    if (t.remaining() <= kByteEps) {
-      // Already drained (zero-byte transfers, completion races): finish it
-      // within this touch rather than waiting for an event.
-      due_headless_.emplace_back(tslot, t.id);
+    if (t.total < 0.0) continue;
+    const double rem = t.remaining();
+    if (rem <= kByteEps || std::isinf(sum)) {
+      // Already drained (zero-byte transfers) or unconstrained (a flow that
+      // crosses no resource and has no cap): finish it within this touch.
+      due_.emplace_back(tslot, t.id);
       dirty_ = true;
-    } else if (t.cached_rate != before || !t.completion.pending()) {
-      schedule_headless_completion(tslot);
+    } else if (sum > kRateEps) {
+      earliest = std::min(earliest, rem / sum);
     }
   }
+  arm_completion(cid, earliest);
 
   ++component_solves_;
   flows_solved_total_ += c.flows.size();
@@ -728,42 +707,64 @@ void FluidNetwork::solve_dirty_components() {
 
 // ---- events ----
 
-void FluidNetwork::schedule_next_event() {
-  // Shared completion event over the observed set, recomputed after every
-  // solve with the legacy formula so observed timelines replay unchanged.
-  next_event_.cancel();
-  double earliest = std::numeric_limits<double>::infinity();
-  for (const auto& [id, tslot] : observed_) {
-    const Transfer& t = transfer_pool_[tslot];
-    const double rem = t.remaining();
-    if (!std::isfinite(rem)) continue;
-    if (t.cached_rate <= kRateEps) continue;
-    earliest = std::min(earliest, rem / t.cached_rate);
+void FluidNetwork::arm_completion(std::uint32_t cid, double earliest) {
+  Component& c = comp_pool_[cid];
+  SimTime at = kNever;
+  if (std::isfinite(earliest)) {
+    // Round up so the transfer has drained when the event fires; cap the
+    // horizon (~31 years) so a crawling rate cannot overflow the clock.
+    const double ns =
+        std::min(std::ceil(earliest * static_cast<double>(common::kSecond)),
+                 1e18);
+    at = sim_.now() + static_cast<SimDuration>(ns);
   }
-  if (!std::isfinite(earliest)) return;
-  const auto delay = static_cast<SimDuration>(
-      std::ceil(earliest * static_cast<double>(common::kSecond)));
-  next_event_ = sim_.schedule_after(std::max<SimDuration>(0, delay),
-                                    [this] { touch(); });
+  if (at == c.due_at) return;
+  c.completion.cancel();
+  c.due_at = at;
+  if (at == kNever) return;
+  c.completion = sim_.schedule_at(at, [this, cid] { on_component_due(cid); });
 }
 
-void FluidNetwork::schedule_headless_completion(std::uint32_t tslot) {
-  Transfer& t = transfer_pool_[tslot];
-  t.completion.cancel();
-  if (t.cached_rate <= kRateEps) return;
-  const double rem = t.remaining();
-  const auto delay = static_cast<SimDuration>(
-      std::ceil(rem / t.cached_rate * static_cast<double>(common::kSecond)));
-  const TransferId id = t.id;
-  t.completion = sim_.schedule_after(
-      std::max<SimDuration>(0, delay),
-      [this, tslot, id] { on_headless_due(tslot, id); });
-}
-
-void FluidNetwork::on_headless_due(std::uint32_t tslot, TransferId id) {
-  if (tslot >= transfer_pool_.size() || transfer_pool_[tslot].id != id) return;
-  due_headless_.emplace_back(tslot, id);
+void FluidNetwork::on_component_due(std::uint32_t cid) {
+  Component& c = comp_pool_[cid];
+  c.completion = {};
+  c.due_at = kNever;
+  ++mark_epoch_;
+  for (const std::uint32_t fslot : c.flows) {
+    const std::uint32_t tslot = flow_pool_[fslot].transfer;
+    if (transfer_mark_[tslot] == mark_epoch_) continue;
+    transfer_mark_[tslot] = mark_epoch_;
+    Transfer& t = transfer_pool_[tslot];
+    if (t.total < 0.0) continue;
+    integrate_transfer(tslot);
+    if (t.remaining() <= kByteEps) due_.emplace_back(tslot, t.id);
+  }
+  if (due_.empty()) {
+    // Floating-point drift left the predicted transfer a hair short: the
+    // re-solve re-arms the event at the corrected time.
+    mark_dirty(cid);
+    rates_dirty_ = true;
+  }
   touch();
+}
+
+void FluidNetwork::complete_due() {
+  // Simultaneous completions fire in id order, whichever component found
+  // them; a transfer spanning components may be listed twice.
+  std::sort(due_.begin(), due_.end(),
+            [](const auto& a, const auto& b) { return a.second < b.second; });
+  notify_scratch_.clear();
+  for (const auto& [tslot, id] : due_) {
+    Transfer& t = transfer_pool_[tslot];
+    if (t.id != id) continue;  // already retired
+    if (t.on_complete) notify_scratch_.push_back(std::move(t.on_complete));
+    erase_transfer_slot(tslot);
+    rates_dirty_ = true;
+  }
+  due_.clear();
+  // Callbacks run last: a re-entrant mutation only sets dirty_, so neither
+  // list changes under them.
+  for (auto& fn : notify_scratch_) fn();
 }
 
 void FluidNetwork::touch() {
@@ -775,77 +776,16 @@ void FluidNetwork::touch() {
   ++touches_;
   do {
     dirty_ = false;
-    integrate_observed();
-
-    // Surface progress and collect completions before reallocating, since
-    // completion callbacks typically start follow-on transfers.
-    completed_scratch_.clear();
-    notify_scratch_.clear();
-    for (const auto& [id, tslot] : observed_) {
-      Transfer& t = transfer_pool_[tslot];
-      const double delta = t.delivered - t.reported;
-      if (delta >= 1.0 && t.callbacks.on_progress) {
-        const auto whole = static_cast<Bytes>(delta);
-        t.reported += static_cast<double>(whole);
-        // Defer: user callbacks must not see a half-updated network.
-        auto cb = t.callbacks.on_progress;
-        const SimTime now = sim_.now();
-        notify_scratch_.push_back([cb, whole, now] { cb(whole, now); });
-      }
-      if (t.total >= 0.0 && t.remaining() <= kByteEps) {
-        completed_scratch_.push_back(id);
-        if (t.callbacks.on_complete) {
-          notify_scratch_.push_back(t.callbacks.on_complete);
-        }
-      }
-    }
-    if (!completed_scratch_.empty()) rates_dirty_ = true;
-    for (const TransferId id : completed_scratch_) {
-      erase_transfer_slot(index_.at(id));
-    }
-    // Headless transfers whose predicted completion arrived.
-    if (!due_headless_.empty()) {
-      std::swap(due_headless_, due_scratch_);
-      due_headless_.clear();
-      for (const auto& [tslot, id] : due_scratch_) {
-        if (tslot >= transfer_pool_.size() || transfer_pool_[tslot].id != id) {
-          continue;  // already gone (cancelled or duplicate notification)
-        }
-        integrate_transfer(tslot);
-        Transfer& t = transfer_pool_[tslot];
-        if (t.remaining() <= kByteEps) {
-          rates_dirty_ = true;
-          erase_transfer_slot(tslot);
-        } else if (t.cached_rate > kRateEps) {
-          schedule_headless_completion(tslot);  // stale prediction: re-arm
-        }
-      }
-      due_scratch_.clear();
-    }
-    for (auto& fn : notify_scratch_) fn();  // may re-enter touch(); sets dirty_
-
-    // The incremental fast path: when no flow set, cap, capacity or
-    // background changed, current rates — and the already-scheduled
-    // completion events — are still exact.  Poll ticks and pure-progress
-    // touches stop here without running the solver.
+    // Retire drained transfers before reallocating, since completion
+    // callbacks typically start follow-on transfers.
+    if (!due_.empty()) complete_due();
     if (rates_dirty_) {
       rates_dirty_ = false;
       ++reallocations_;
       solve_dirty_components();
-      schedule_next_event();
     }
   } while (dirty_);
   in_touch_ = false;
-  if (index_.empty()) poll_event_.cancel();
-}
-
-void FluidNetwork::ensure_polling() {
-  if (poll_interval_ <= 0 || poll_event_.pending()) return;
-  poll_event_ = sim_.schedule_every(poll_interval_, [this] {
-    if (index_.empty()) return false;  // stop ticking when idle
-    touch();
-    return true;
-  });
 }
 
 }  // namespace esg::net

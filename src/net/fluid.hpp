@@ -13,9 +13,10 @@
 // caps): every flow is either limited by its own cap (TCP window / loss
 // model, see net/tcp.hpp) or crosses at least one saturated resource.
 // Between rate changes flows progress linearly, so the simulator only needs
-// events at mutations and at exactly-predicted completions, plus an optional
-// periodic poll that gives the bandwidth samplers their 100 ms resolution
-// (Table 1 reports a peak over 0.1 s).
+// events at mutations and at exactly-predicted completions.  Nothing is
+// pushed per byte: a caller that wants a byte count pulls transferred() at
+// its own period (the request manager's progress poll, GridFTP markers, the
+// benches' bandwidth samplers).
 //
 // The solver is built for a hundred thousand concurrent flows:
 //
@@ -30,17 +31,15 @@
 //    one shared id array (offset + length per flow), transfers in a slotted
 //    pool; a component re-solve walks contiguous memory and performs zero
 //    heap allocations in steady state.
-//  * Observed vs headless transfers — a transfer with callbacks ("observed")
-//    keeps the exact legacy timeline: integrated at every touch, progress
-//    surfaced at every poll tick, one shared next-completion event over the
-//    observed set.  A callback-free transfer ("headless") is integrated
-//    lazily against its own clock and completes through a per-transfer event
-//    in the simulation's calendar queue, so a million idle flows cost
-//    nothing per touch.  You pay per touch only for what you watch.
+//  * Lazy integration — each transfer integrates against its own clock,
+//    only when its component is re-solved, cancelled or due, so a million
+//    idle flows cost nothing per touch.  Each component keeps one
+//    next-completion event (the minimum remaining/rate over its bounded
+//    transfers), re-armed by the solve that changes those rates.
 //  * Incremental reallocation — a rates-dirty flag plus per-component dirty
 //    flags track whether any flow/cap/capacity/background changed since the
-//    last solve.  Poll ticks and pure-progress touches integrate byte
-//    counts and fire progress callbacks without re-running the solver.
+//    last solve; completions that change nothing else solve only their own
+//    component.
 //  * Coalesced bookkeeping — each transfer caches its aggregate rate
 //    (refreshed by the solver), utilization gauges are written only when a
 //    value changes, and batch()/set_transfer_cap() fold multi-mutation
@@ -48,9 +47,8 @@
 //
 // Within one component the water-filling arithmetic is iteration-order
 // independent, so a single-component world produces bit-identical rates to
-// the pre-partitioned global solver — the flight-recorder digests of the
-// checked-in bench baselines replay unchanged.  The pre-dense solver is
-// retained verbatim in net/fluid_reference.hpp; the property tests assert
+// the pre-partitioned global solver.  The pre-dense solver is retained
+// verbatim in net/fluid_reference.hpp; the property tests assert
 // rate-vector equivalence and bench_fluid_scale tracks the speedup.
 #pragma once
 
@@ -119,9 +117,6 @@ struct FlowSpec {
 };
 
 struct TransferCallbacks {
-  /// Called whenever bytes are integrated (at every network event and poll
-  /// tick): delta bytes since the previous call.
-  std::function<void(Bytes delta, SimTime now)> on_progress;
   /// Called exactly once when the transfer's byte pool drains.
   std::function<void()> on_complete;
 };
@@ -130,8 +125,7 @@ using TransferId = std::uint64_t;
 
 class FluidNetwork {
  public:
-  explicit FluidNetwork(sim::Simulation& simulation,
-                        SimDuration poll_interval = 100 * common::kMillisecond);
+  explicit FluidNetwork(sim::Simulation& simulation);
   ~FluidNetwork();
 
   FluidNetwork(const FluidNetwork&) = delete;
@@ -186,6 +180,7 @@ class FluidNetwork {
   }
 
   bool transfer_active(TransferId id) const;
+  /// Bytes delivered so far, integrated up to now().
   Bytes transferred(TransferId id) const;
   /// Bytes carried by one member flow (per-stripe restart markers); clamped
   /// to the transfer's pool like transferred().
@@ -194,6 +189,9 @@ class FluidNetwork {
   Rate current_rate(TransferId id) const;
   /// Current rate of one member flow.
   Rate flow_rate(TransferId id, std::size_t flow_index) const;
+  /// When the transfer's rate last fell to zero (set by the solve that
+  /// zeroed it, or at start when it never moved); now() while it moves.
+  SimTime stalled_since(TransferId id) const;
 
   std::size_t active_transfers() const { return index_.size(); }
 
@@ -202,10 +200,9 @@ class FluidNetwork {
 
   // ---- introspection (tests + bench_fluid_scale) ----
 
-  /// How many touches triggered the solver.  Steady-state poll ticks must
-  /// not advance this.
+  /// How many touches triggered the solver.
   std::uint64_t reallocations() const { return reallocations_; }
-  /// How many touches (integration passes) have run.
+  /// How many touches (mutation or completion passes) have run.
   std::uint64_t touches() const { return touches_; }
   /// How many utilization gauge writes actually happened (value changes).
   std::uint64_t util_gauge_updates() const { return util_gauge_updates_; }
@@ -235,6 +232,7 @@ class FluidNetwork {
 
  private:
   static constexpr std::uint32_t kNone = 0xffffffffu;
+  static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 
   // ---- flat arenas ----
 
@@ -254,12 +252,10 @@ class FluidNetwork {
     std::vector<std::uint32_t> flows;  // flow pool slots
     double total = -1.0;      // <0: unbounded
     double delivered = 0.0;   // bytes drained from the pool
-    double reported = 0.0;    // bytes already surfaced via on_progress
     Rate cached_rate = 0.0;   // aggregate flow rate, refreshed by the solver
-    SimTime last_integrated = 0;  // headless: private integration clock
-    bool observed = false;        // has progress/completion callbacks
-    TransferCallbacks callbacks;
-    sim::EventHandle completion;  // headless bounded: own completion event
+    SimTime last_integrated = 0;  // private integration clock
+    SimTime stalled_since = 0;    // when cached_rate last fell to zero
+    std::function<void()> on_complete;
 
     double remaining() const {
       return total < 0 ? std::numeric_limits<double>::infinity()
@@ -274,6 +270,8 @@ class FluidNetwork {
     bool live = false;
     bool dirty = false;          // needs a re-solve
     bool needs_rebuild = false;  // a flow was removed: may have split
+    sim::EventHandle completion;  // earliest completion among its transfers
+    SimTime due_at = kNever;      // when `completion` fires
   };
 
   // ---- internals ----
@@ -293,24 +291,23 @@ class FluidNetwork {
   /// split-off components (already dirty) to `worklist`.
   void rebuild_component(std::uint32_t cid, std::vector<std::uint32_t>& worklist);
 
-  void integrate_observed();
   void integrate_transfer(std::uint32_t tslot);
-  void integrate_transfer_span(Transfer& t, double dt);
   void solve_dirty_components();
   void solve_component(std::uint32_t cid);
   void update_resource_gauge(Resource* res);
-  void schedule_next_event();  // observed transfers' shared completion event
-  void schedule_headless_completion(std::uint32_t tslot);
-  void on_headless_due(std::uint32_t tslot, TransferId id);
+  /// (Re-)arm a component's completion event `earliest` seconds from now
+  /// (infinite: no bounded transfer is moving).
+  void arm_completion(std::uint32_t cid, double earliest);
+  void on_component_due(std::uint32_t cid);
+  /// Retire the drained transfers in `due_` and run their callbacks.
+  void complete_due();
   void erase_transfer_slot(std::uint32_t tslot);
-  void touch();  // integrate, run completions, reallocate-if-dirty, reschedule
-  void ensure_polling();
+  void touch();  // run completions, reallocate-if-dirty
   /// Record a rate-affecting change; solves immediately unless inside
   /// batch() or a touch already in flight.
   void on_mutation();
 
   sim::Simulation& sim_;
-  SimDuration poll_interval_;
   std::map<std::string, std::unique_ptr<Resource>> resources_;
   std::vector<Resource*> resources_by_id_;  // dense id -> resource
 
@@ -325,17 +322,13 @@ class FluidNetwork {
   std::vector<std::uint32_t> comp_free_;
 
   // Indexes.
-  std::map<TransferId, std::uint32_t> index_;     // all transfers, id order
-  std::map<TransferId, std::uint32_t> observed_;  // callback-carrying subset
+  std::map<TransferId, std::uint32_t> index_;  // all transfers, id order
   std::vector<std::uint32_t> res_comp_;     // resource id -> component
   std::vector<double> foreground_;          // resource id -> allocated rate
   std::vector<std::uint32_t> dirty_comps_;
   std::size_t live_components_ = 0;
 
   TransferId next_id_ = 1;
-  SimTime observed_integration_ = 0;  // shared clock of the observed set
-  sim::EventHandle next_event_;
-  sim::EventHandle poll_event_;
   bool in_touch_ = false;
   bool dirty_ = false;        // re-run the touch loop (re-entrant mutation)
   bool rates_dirty_ = false;  // some flow/cap/capacity/background changed
@@ -373,10 +366,8 @@ class FluidNetwork {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> group_scratch_;
   std::vector<Resource*> pending_res_;  // flowless resources with gauge edits
   // Touch scratch (safe to reuse: touch never runs re-entrantly).
-  std::vector<TransferId> completed_scratch_;
   std::vector<std::function<void()>> notify_scratch_;
-  std::vector<std::pair<std::uint32_t, TransferId>> due_headless_;
-  std::vector<std::pair<std::uint32_t, TransferId>> due_scratch_;
+  std::vector<std::pair<std::uint32_t, TransferId>> due_;  // drained, by slot
 };
 
 }  // namespace esg::net

@@ -38,7 +38,6 @@ TcpTransfer::TcpTransfer(Network& network, const Host& src, const Host& dst,
   loss_ = info.loss;
   target_cap_ = std::min(window_cap(options_.buffer_size, rtt_),
                          mathis_cap(options_.mss, rtt_, loss_));
-  last_progress_ = net_.simulation().now();
   span_ = net_.simulation().tracer().span("net.tcp", "net",
                                           options_.obs_track);
   span_.set_attr("src", src_.name());
@@ -76,10 +75,6 @@ void TcpTransfer::begin() {
   std::vector<FlowSpec> flows(static_cast<std::size_t>(options_.streams),
                               FlowSpec{info.resources, initial});
   TransferCallbacks cbs;
-  cbs.on_progress = [this](Bytes delta, SimTime now) {
-    last_progress_ = now;
-    if (callbacks_.on_progress) callbacks_.on_progress(delta, now);
-  };
   cbs.on_complete = [this] {
     delivered_snapshot_ = size_;
     transfer_id_ = 0;
@@ -105,7 +100,8 @@ void TcpTransfer::begin() {
     watchdog_event_ = net_.simulation().schedule_every(check, [this] {
       if (state_ != State::running) return false;
       const SimTime now = net_.simulation().now();
-      if (now - last_progress_ >= options_.dead_interval) {
+      if (now - net_.fluid().stalled_since(transfer_id_) >=
+          options_.dead_interval) {
         finish(Error{Errc::timed_out, "no progress on data channel"});
         return false;
       }
@@ -148,7 +144,6 @@ Bytes TcpTransfer::cancel() {
   span_.end();
   // Terminal: release the callbacks so anything they capture (often the
   // owning transfer op, via shared_ptr) is not pinned by this object.
-  callbacks_.on_progress = nullptr;
   callbacks_.on_complete = nullptr;
   return delivered_snapshot_;
 }
@@ -169,7 +164,6 @@ void TcpTransfer::finish(Status status) {
   span_.set_attr("status", status.ok() ? "ok"
                                        : status.error().to_string());
   span_.end();
-  callbacks_.on_progress = nullptr;
   if (callbacks_.on_complete) {
     // The callback may destroy this object; move it out first.
     auto cb = std::move(callbacks_.on_complete);

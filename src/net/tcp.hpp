@@ -16,8 +16,9 @@
 //
 // A TcpTransfer bundles N parallel streams draining one shared byte pool
 // (GridFTP extended block mode).  A watchdog declares the transfer dead when
-// no bytes arrive for `dead_interval`, which is how outages surface to the
-// GridFTP reliability plugin.
+// its rate has sat at zero for `dead_interval` (read from the fluid network,
+// which records when a solve zeroed it), which is how outages surface to
+// the GridFTP reliability plugin.  Progress is pulled through delivered().
 #pragma once
 
 #include <functional>
@@ -45,8 +46,6 @@ struct TcpOptions {
 };
 
 struct TcpCallbacks {
-  /// Delta bytes delivered, invoked at network-event granularity.
-  std::function<void(Bytes delta, SimTime now)> on_progress;
   /// Terminal outcome: ok, timed_out (stall watchdog), or unavailable
   /// (path down at connect time).  Fires exactly once.
   std::function<void(common::Status)> on_complete;
@@ -103,7 +102,6 @@ class TcpTransfer {
   Rate current_cap_ = 0.0;
   TransferId transfer_id_ = 0;
   Bytes delivered_snapshot_ = 0;  // final count once no longer active
-  SimTime last_progress_ = 0;
   sim::EventHandle connect_event_;
   sim::EventHandle ramp_event_;
   sim::EventHandle watchdog_event_;

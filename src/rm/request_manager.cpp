@@ -300,7 +300,7 @@ struct RequestManager::Worker : std::enable_shared_from_this<Worker> {
     auto self = shared_from_this();
     fetch = gridftp::ReliableGet::start(
         rm().ftp_, std::move(urls), outcome.local_name, transfer,
-        std::move(reliability), nullptr,
+        std::move(reliability),
         [self](gridftp::ReliableResult r) {
           self->outcome.bytes = r.total_bytes;
           self->outcome.attempts = r.attempts;
@@ -310,14 +310,13 @@ struct RequestManager::Worker : std::enable_shared_from_this<Worker> {
     arm_poller();
   }
 
-  // Step 5: poll the local file size every few seconds (paper behaviour).
+  // Step 5: poll the transfer's progress every few seconds (paper
+  // behaviour), pulling the bytes landed so far.
   void arm_poller() {
     auto self = shared_from_this();
     poller = sim().schedule_every(job->options.poll_interval, [self] {
       if (self->terminal) return false;
-      const Bytes size = self->rm().ftp_.local_storage()
-                             .size_of(self->outcome.local_name)
-                             .value_or(0);
+      const Bytes size = self->fetch->bytes_done();
       if (self->monitor()) {
         self->monitor()->progress(self->outcome.request.filename, size,
                                   self->sim().now());

@@ -11,7 +11,10 @@
 //   (3) select the "best" replica — highest forecast bandwidth;
 //   (4) initiate a GridFTP get (through HRM staging first when the chosen
 //       replica lives on a mass-storage system);
-//   (5) monitor progress by polling the local file size every few seconds.
+//   (5) monitor progress by polling the bytes landed every few seconds —
+//       the transfer's restart marker plus what the live attempt has moved,
+//       pulled from the network at the poller's own period, the way the
+//       paper's RM polled the local file size.
 //
 // Failures and slow replicas are handled by the GridFTP reliability plugin:
 // restart from the byte marker, alternate replica on repeated failure.  In
@@ -45,7 +48,7 @@ struct RequestOptions {
   std::string local_path_prefix = "cache";  // where fetched files land
   gridftp::TransferOptions transfer;
   gridftp::ReliabilityOptions reliability;
-  common::SimDuration poll_interval = 2 * common::kSecond;  // size polling
+  common::SimDuration poll_interval = 2 * common::kSecond;  // step (5)
   common::SimDuration stage_timeout = 30 * common::kMinute;
   /// Retry policy for HRM stage requests.  stage_timeout above stays the
   /// per-attempt RPC timeout whenever stage_retry.attempt_timeout is 0.

@@ -478,7 +478,7 @@ TEST(ChaosEndToEnd, CorruptionFailsPlainGetWithIoError) {
   grid.client->inject_corruption(1);
   bool done = false;
   esg::common::Status status;
-  grid.client->get({"lbnl.host", "data.ncx"}, "in/data.ncx", {}, nullptr,
+  grid.client->get({"lbnl.host", "data.ncx"}, "in/data.ncx", {},
                    [&](eg::TransferResult r) {
                      status = r.status;
                      done = true;
@@ -496,7 +496,7 @@ TEST(ChaosEndToEnd, VerifiedGetReportsChecksum) {
   put_everywhere(grid, "data.ncx");
   bool done = false;
   eg::TransferResult result;
-  grid.client->get({"lbnl.host", "data.ncx"}, "in/data.ncx", {}, nullptr,
+  grid.client->get({"lbnl.host", "data.ncx"}, "in/data.ncx", {},
                    [&](eg::TransferResult r) {
                      result = r;
                      done = true;
@@ -516,7 +516,7 @@ TEST(ChaosEndToEnd, ReliableGetRefetchesAfterCorruption) {
   eg::ReliableResult result;
   eg::ReliableGet::start(*grid.client,
                          {{"lbnl.host", "data.ncx"}, {"isi.host", "data.ncx"}},
-                         "in/data.ncx", {}, rel, nullptr,
+                         "in/data.ncx", {}, rel,
                          [&](eg::ReliableResult r) {
                            result = r;
                            done = true;
@@ -550,7 +550,7 @@ TEST(ChaosEndToEnd, ServerCrashFailsInFlightGetAndRestartRecovers) {
   bool done = false;
   eg::ReliableResult result;
   eg::ReliableGet::start(*grid.client, {{"lbnl.host", "data.ncx"}},
-                         "in/data.ncx", opts, rel, nullptr,
+                         "in/data.ncx", opts, rel,
                          [&](eg::ReliableResult r) {
                            result = r;
                            done = true;
@@ -583,7 +583,7 @@ TEST(ChaosEndToEnd, ReliableGetDeadlineIsNeverOvershotByBackoff) {
   bool done = false;
   eg::ReliableResult result;
   eg::ReliableGet::start(*grid.client, {{"lbnl.host", "data.ncx"}},
-                         "in/data.ncx", opts, rel, nullptr,
+                         "in/data.ncx", opts, rel,
                          [&](eg::ReliableResult r) {
                            result = r;
                            done = true;
@@ -614,7 +614,7 @@ TEST(ChaosEndToEnd, ReliableGetGivesUpImmediatelyWhenBudgetExhausted) {
   bool done = false;
   eg::ReliableResult result;
   eg::ReliableGet::start(*grid.client, {{"lbnl.host", "data.ncx"}},
-                         "in/data.ncx", opts, rel, nullptr,
+                         "in/data.ncx", opts, rel,
                          [&](eg::ReliableResult r) {
                            result = r;
                            done = true;
@@ -638,7 +638,7 @@ TEST(ChaosEndToEnd, CrashedServerLosesTicketsAcrossRestart) {
   esg::common::Status status;
   eg::TransferOptions opts;
   opts.stall_timeout = 5 * kSecond;
-  grid.client->get({"lbnl.host", "data.ncx"}, "in/data.ncx", opts, nullptr,
+  grid.client->get({"lbnl.host", "data.ncx"}, "in/data.ncx", opts,
                    [&](eg::TransferResult r) {
                      status = r.status;
                      done = true;
@@ -647,7 +647,7 @@ TEST(ChaosEndToEnd, CrashedServerLosesTicketsAcrossRestart) {
   EXPECT_FALSE(status.ok());  // service down: control channel times out
   lbnl->restart();
   done = false;
-  grid.client->get({"lbnl.host", "data.ncx"}, "in/data2.ncx", opts, nullptr,
+  grid.client->get({"lbnl.host", "data.ncx"}, "in/data2.ncx", opts,
                    [&](eg::TransferResult r) {
                      status = r.status;
                      done = true;
@@ -753,7 +753,7 @@ FaultedRunOutcome faulted_run(std::uint64_t seed) {
   bool done = false;
   eg::ReliableGet::start(*grid.client,
                          {{"lbnl.host", "data.ncx"}, {"isi.host", "data.ncx"}},
-                         "in/data.ncx", {}, rel, nullptr,
+                         "in/data.ncx", {}, rel,
                          [&](eg::ReliableResult r) {
                            out.ok = r.status.ok();
                            out.attempts = r.attempts;

@@ -108,6 +108,13 @@ struct WildcardCase {
   bool match;
 };
 
+// Names the case in test listings; gtest's default would dump the pointer
+// bytes, which differ from run to run under ASLR.
+void PrintTo(const WildcardCase& c, std::ostream* os) {
+  *os << '"' << c.pattern << (c.match ? "\" matches \"" : "\" rejects \"")
+      << c.text << '"';
+}
+
 class WildcardTest : public ::testing::TestWithParam<WildcardCase> {};
 
 TEST_P(WildcardTest, Matches) {

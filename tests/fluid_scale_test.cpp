@@ -1,9 +1,9 @@
 // Tests for the dense incremental fluid solver: rate-vector equivalence
 // against the retained reference water-filling implementation on randomized
 // topologies under churn (cap changes, resource down/up, flow additions,
-// capacity and background edits), the steady-state fast path (poll ticks
-// must never invoke the solver), mutation coalescing, and the simulation's
-// lazily-cancelled-event purge.
+// capacity and background edits), the idle fast path (a steady network
+// fires no events at all), per-component completion events, mutation
+// coalescing, and the simulation's lazily-cancelled-event purge.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -145,7 +145,7 @@ TEST_P(FluidEquivalence, DenseSolverMatchesReferenceUnderChurn) {
         m.flows.push_back(std::move(fm));
         break;
       }
-      case 5: {  // advance time across poll ticks; rates must stay put
+      case 5: {  // advance time; rates must stay put
         sim.run_until(sim.now() +
                       static_cast<ec::SimDuration>(
                           rng.uniform(0.05, 0.6) * kSecond));
@@ -162,58 +162,92 @@ INSTANTIATE_TEST_SUITE_P(RandomScenarios, FluidEquivalence,
 // ---------- incremental fast path ----------
 
 TEST(FluidScale, SteadyStatePollTicksSkipTheSolver) {
+  // There is no poll tick: unbounded transfers with no mutations cost
+  // nothing over time — no fluid event, no touch, no solve — yet bytes keep
+  // accruing.
   es::Simulation sim;
-  en::FluidNetwork fluid(sim, 100 * kMillisecond);
+  en::FluidNetwork fluid(sim);
   auto* a = fluid.add_resource("a", 1'000'000);
   auto* b = fluid.add_resource("b", 2'000'000);
-  ec::Bytes progressed = 0;
-  auto id = fluid.start_transfer(
-      {en::FlowSpec{{a, b}, en::kUnlimitedRate}}, en::kUnboundedBytes,
-      {[&](ec::Bytes d, ec::SimTime) { progressed += d; }, nullptr});
+  auto id = fluid.start_transfer({en::FlowSpec{{a, b}, en::kUnlimitedRate}},
+                                 en::kUnboundedBytes, {});
   fluid.start_transfer({en::FlowSpec{{b}, en::kUnlimitedRate}},
                        en::kUnboundedBytes, {});
-
-  const std::uint64_t solves_before = fluid.reallocations();
-  const std::uint64_t touches_before = fluid.touches();
-  sim.run_until(5 * kSecond);  // ~50 poll ticks, zero mutations
-
-  EXPECT_EQ(fluid.reallocations(), solves_before)
-      << "steady-state poll ticks must not re-run the solver";
-  EXPECT_GE(fluid.touches(), touches_before + 40)
-      << "poll ticks should still integrate progress";
-  EXPECT_GT(progressed, 0);
-  // Progress accounting stays exact without reallocation.
-  EXPECT_NEAR(static_cast<double>(fluid.transferred(id)), 1'000'000.0 * 5.0,
+  const std::uint64_t touches = fluid.touches();
+  const std::uint64_t solves = fluid.reallocations();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run_until(60 * kSecond);
+  EXPECT_EQ(sim.events_fired(), 0u);
+  EXPECT_EQ(fluid.touches(), touches);
+  EXPECT_EQ(fluid.reallocations(), solves)
+      << "a steady network must not re-run the solver";
+  EXPECT_NEAR(static_cast<double>(fluid.transferred(id)), 1'000'000.0 * 60.0,
               2.0);
 }
 
 TEST(FluidScale, SteadyStatePollTicksSkipGaugeWrites) {
+  // A steady network writes no utilization gauge while time passes; a real
+  // change still lands in the gauge.
   es::Simulation sim;
-  en::FluidNetwork fluid(sim, 100 * kMillisecond);
+  en::FluidNetwork fluid(sim);
   auto* r = fluid.add_resource("pipe", 1'000'000);
   auto id = fluid.start_transfer({en::FlowSpec{{r}, 250'000}},
                                  en::kUnboundedBytes, {});
   const std::uint64_t writes_before = fluid.util_gauge_updates();
-  sim.run_until(5 * kSecond);
+  sim.run_until(60 * kSecond);
+  EXPECT_EQ(sim.events_fired(), 0u);
   EXPECT_EQ(fluid.util_gauge_updates(), writes_before);
-  // A real change still lands in the gauge.
   fluid.set_flow_cap(id, 0, 500'000);
   EXPECT_GT(fluid.util_gauge_updates(), writes_before);
   EXPECT_NEAR(r->utilization(), 0.5, 1e-9);
 }
 
-TEST(FluidScale, CompletionStillExactWithFastPath) {
-  // The next-completion event is scheduled once per reallocation and must
-  // stay valid across intervening poll ticks.
+TEST(FluidScale, OneCompletionEventPerComponent) {
+  // N bounded transfers sharing one resource keep a single pending fluid
+  // event (the component's earliest completion), and each still completes
+  // at its exact processor-sharing time: transfer k of size k * S finishes
+  // after sum_{j<k} S * (N - j) / C.
   es::Simulation sim;
-  en::FluidNetwork fluid(sim, 100 * kMillisecond);
+  en::FluidNetwork fluid(sim);
+  constexpr int kN = 8;
+  constexpr double kS = 1'000'000.0;
+  constexpr double kC = 4'000'000.0;
+  auto* r = fluid.add_resource("pipe", kC);
+  std::vector<ec::SimTime> done_at(kN + 1, -1);
+  fluid.batch([&] {
+    for (int k = 1; k <= kN; ++k) {
+      fluid.start_transfer({en::FlowSpec{{r}, en::kUnlimitedRate}},
+                           static_cast<ec::Bytes>(k * kS),
+                           {[&, k] { done_at[k] = sim.now(); }});
+    }
+  });
+  EXPECT_EQ(fluid.components(), 1u);
+  std::size_t max_pending = sim.pending_events();
+  sim.run_while_pending([&] {
+    max_pending = std::max(max_pending, sim.pending_events());
+    return false;
+  });
+  EXPECT_EQ(max_pending, 1u);
+  double expected = 0.0;
+  for (int k = 1; k <= kN; ++k) {
+    expected += kS * (kN - (k - 1)) / kC;
+    EXPECT_NEAR(ec::to_seconds(done_at[k]), expected, 1e-6) << "transfer " << k;
+  }
+}
+
+TEST(FluidScale, CompletionStillExactWithFastPath) {
+  // The next-completion event is scheduled once, by the solve, and stays
+  // valid however long nothing else happens.
+  es::Simulation sim;
+  en::FluidNetwork fluid(sim);
   auto* r = fluid.add_resource("pipe", 1'000'000);
   bool done = false;
   fluid.start_transfer({en::FlowSpec{{r}, en::kUnlimitedRate}}, 10'000'000,
-                       {nullptr, [&] { done = true; }});
+                       {[&] { done = true; }});
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_NEAR(ec::to_seconds(sim.now()), 10.0, 0.01);
+  EXPECT_EQ(sim.events_fired(), 1u);
 }
 
 TEST(FluidScale, RedundantMutationsDoNotTriggerSolve) {
@@ -271,7 +305,7 @@ TEST(FluidScale, FlowTransferredClampedToPool) {
   // completion event), no member flow may ever report more bytes than the
   // transfer's pool holds.
   es::Simulation sim;
-  en::FluidNetwork fluid(sim, 0);  // no polling: long extrapolation windows
+  en::FluidNetwork fluid(sim);  // lazy integration: long extrapolation windows
   auto* r = fluid.add_resource("pipe", 999'983);  // prime: ragged division
   constexpr ec::Bytes kTotal = 1'000'003;
   auto id = fluid.start_transfer(
@@ -518,7 +552,7 @@ TEST_P(FluidComponentChurn, EquivalenceUnderMergeSplitChurn) {
                            rng.uniform(5e5, 5e6));
         break;
       }
-      case 5: {  // advance across poll ticks
+      case 5: {  // advance time
         sim.run_until(sim.now() + static_cast<ec::SimDuration>(
                                       rng.uniform(0.05, 0.4) * kSecond));
         break;

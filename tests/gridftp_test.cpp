@@ -107,7 +107,7 @@ TEST(GridFtp, SimpleGetDeliversFile) {
   bool done = false;
   g.client->get(
       {"pdsf.lbl.gov", "data/model.ncx"}, "local/model.ncx", fast_opts(),
-      nullptr, [&](eg::TransferResult r) {
+      [&](eg::TransferResult r) {
         ASSERT_TRUE(r.status.ok()) << r.status.error().to_string();
         EXPECT_EQ(r.bytes_transferred, 50'000'000);
         EXPECT_EQ(r.file_size, 50'000'000);
@@ -129,7 +129,7 @@ TEST(GridFtp, GetCarriesRealContent) {
   ASSERT_TRUE(
       g.server->storage().put(est::FileObject::with_content("f.bin", data)).ok());
   bool done = false;
-  g.client->get({"pdsf.lbl.gov", "f.bin"}, "f.bin", fast_opts(), nullptr,
+  g.client->get({"pdsf.lbl.gov", "f.bin"}, "f.bin", fast_opts(),
                 [&](eg::TransferResult r) {
                   ASSERT_TRUE(r.status.ok());
                   done = true;
@@ -145,7 +145,7 @@ TEST(GridFtp, GetCarriesRealContent) {
 TEST(GridFtp, MissingFileFails) {
   Grid g;
   bool done = false;
-  g.client->get({"pdsf.lbl.gov", "nope"}, "nope", fast_opts(), nullptr,
+  g.client->get({"pdsf.lbl.gov", "nope"}, "nope", fast_opts(),
                 [&](eg::TransferResult r) {
                   done = true;
                   ASSERT_FALSE(r.status.ok());
@@ -158,7 +158,7 @@ TEST(GridFtp, MissingFileFails) {
 TEST(GridFtp, UnknownHostFails) {
   Grid g;
   bool done = false;
-  g.client->get({"ghost.example", "x"}, "x", fast_opts(), nullptr,
+  g.client->get({"ghost.example", "x"}, "x", fast_opts(),
                 [&](eg::TransferResult r) {
                   done = true;
                   EXPECT_FALSE(r.status.ok());
@@ -177,7 +177,7 @@ TEST(GridFtp, BadCredentialRejected) {
                             std::make_shared<est::HostStorage>(),
                             std::move(wallet), g.registry);
   bool done = false;
-  mallory.get({"pdsf.lbl.gov", "f"}, "f", fast_opts(), nullptr,
+  mallory.get({"pdsf.lbl.gov", "f"}, "f", fast_opts(),
               [&](eg::TransferResult r) {
                 done = true;
                 ASSERT_FALSE(r.status.ok());
@@ -198,7 +198,7 @@ TEST(GridFtp, ExpiredCredentialRejectedAtAuth) {
                          std::move(wallet), g.registry);
   bool done = false;
   g.sim.schedule_at(2 * ec::kHour, [&] {
-    late.get({"pdsf.lbl.gov", "f"}, "f", fast_opts(), nullptr,
+    late.get({"pdsf.lbl.gov", "f"}, "f", fast_opts(),
              [&](eg::TransferResult r) {
                done = true;
                ASSERT_FALSE(r.status.ok());
@@ -221,7 +221,7 @@ TEST(GridFtp, DelegatedProxyAuthenticates) {
   auto opts = fast_opts();
   opts.delegate_proxy = true;  // costs one extra handshake round
   bool done = false;
-  proxied.get({"pdsf.lbl.gov", "f"}, "f", opts, nullptr,
+  proxied.get({"pdsf.lbl.gov", "f"}, "f", opts,
               [&](eg::TransferResult r) {
                 done = true;
                 EXPECT_TRUE(r.status.ok()) << r.status.error().to_string();
@@ -230,21 +230,22 @@ TEST(GridFtp, DelegatedProxyAuthenticates) {
   EXPECT_TRUE(done);
 }
 
-TEST(GridFtp, ProgressGrowsLocalFile) {
+TEST(GridFtp, DeliveredGrowsThenLocalFileLandsWhole) {
   Grid g;
   g.add_file("big", 50'000'000);
-  ec::Bytes mid_size = -1;
-  g.sim.schedule_at(3 * kSecond, [&] {
-    mid_size = g.client->local_storage().size_of("big").value_or(-1);
-  });
+  ec::Bytes mid_delivered = -1;
   bool done = false;
-  g.client->get({"pdsf.lbl.gov", "big"}, "big", fast_opts(), nullptr,
-                [&](eg::TransferResult) { done = true; });
+  auto handle = g.client->get({"pdsf.lbl.gov", "big"}, "big", fast_opts(),
+                              [&](eg::TransferResult) { done = true; });
+  g.sim.schedule_at(3 * kSecond, [&] { mid_delivered = handle->delivered(); });
   g.sim.run();
   ASSERT_TRUE(done);
-  // Mid-transfer the local file existed and was partially filled.
-  EXPECT_GT(mid_size, 0);
-  EXPECT_LT(mid_size, 50'000'000);
+  // Mid-transfer the handle reported a partial byte count...
+  EXPECT_GT(mid_delivered, 0);
+  EXPECT_LT(mid_delivered, 50'000'000);
+  // ...and the local file landed whole at completion.
+  EXPECT_EQ(handle->delivered(), 50'000'000);
+  EXPECT_EQ(g.client->local_storage().size_of("big").value_or(-1), 50'000'000);
 }
 
 TEST(GridFtp, ParallelStreamsFasterOnLossyPath) {
@@ -252,7 +253,7 @@ TEST(GridFtp, ParallelStreamsFasterOnLossyPath) {
     Grid g(mbps(622), 20 * kMillisecond, 3e-4);
     g.add_file("f", 100'000'000);
     bool done = false;
-    g.client->get({"pdsf.lbl.gov", "f"}, "f", fast_opts(parallelism), nullptr,
+    g.client->get({"pdsf.lbl.gov", "f"}, "f", fast_opts(parallelism),
                   [&](eg::TransferResult r) {
                     ASSERT_TRUE(r.status.ok());
                     done = true;
@@ -275,7 +276,7 @@ TEST(GridFtp, AutoNegotiatedBufferBeatsDefaultOnLongFatPath) {
     opts.buffer_size = buffer;          // 0 = negotiate via SBUF
     opts.auto_buffer_target = mbps(600);
     bool done = false;
-    g.client->get({"pdsf.lbl.gov", "f"}, "f", opts, nullptr,
+    g.client->get({"pdsf.lbl.gov", "f"}, "f", opts,
                   [&](eg::TransferResult r) { done = r.status.ok(); });
     g.sim.run();
     EXPECT_TRUE(done);
@@ -295,7 +296,7 @@ TEST(GridFtp, RestartOffsetTransfersRemainder) {
   auto opts = fast_opts();
   opts.restart_offset = 30'000'000;
   bool done = false;
-  g.client->get({"pdsf.lbl.gov", "f"}, "f", opts, nullptr,
+  g.client->get({"pdsf.lbl.gov", "f"}, "f", opts,
                 [&](eg::TransferResult r) {
                   ASSERT_TRUE(r.status.ok());
                   EXPECT_EQ(r.bytes_transferred, 10'000'000);
@@ -314,7 +315,7 @@ TEST(GridFtp, FailedTransferReportsMarkerForRestart) {
   opts.stall_timeout = 5 * kSecond;
   ec::Bytes marker = 0;
   bool failed = false;
-  g.client->get({"pdsf.lbl.gov", "f"}, "f", opts, nullptr,
+  g.client->get({"pdsf.lbl.gov", "f"}, "f", opts,
                 [&](eg::TransferResult r) {
                   failed = !r.status.ok();
                   marker = r.bytes_transferred;
@@ -337,11 +338,11 @@ TEST(GridFtp, ChannelCachingSkipsHandshakes) {
   int completed = 0;
   auto opts = fast_opts();
   opts.use_channel_cache = true;
-  g.client->get({"pdsf.lbl.gov", "a"}, "a", opts, nullptr,
+  g.client->get({"pdsf.lbl.gov", "a"}, "a", opts,
                 [&](eg::TransferResult r) {
                   ASSERT_TRUE(r.status.ok());
                   ++completed;
-                  g.client->get({"pdsf.lbl.gov", "b"}, "b", opts, nullptr,
+                  g.client->get({"pdsf.lbl.gov", "b"}, "b", opts,
                                 [&](eg::TransferResult r2) {
                                   ASSERT_TRUE(r2.status.ok());
                                   ++completed;
@@ -362,10 +363,10 @@ TEST(GridFtp, NoCachingReAuthenticatesEveryTransfer) {
   auto opts = fast_opts();
   opts.use_channel_cache = false;
   int completed = 0;
-  g.client->get({"pdsf.lbl.gov", "a"}, "a", opts, nullptr,
+  g.client->get({"pdsf.lbl.gov", "a"}, "a", opts,
                 [&](eg::TransferResult) {
                   ++completed;
-                  g.client->get({"pdsf.lbl.gov", "b"}, "b", opts, nullptr,
+                  g.client->get({"pdsf.lbl.gov", "b"}, "b", opts,
                                 [&](eg::TransferResult) { ++completed; });
                 });
   g.sim.run();
@@ -385,10 +386,10 @@ TEST(GridFtp, CachedSecondTransferIsFaster) {
     ec::SimTime first_done = 0, second_done = 0;
     auto opts = fast_opts();
     opts.use_channel_cache = cache;
-    g.client->get({"pdsf.lbl.gov", "a"}, "a", opts, nullptr,
+    g.client->get({"pdsf.lbl.gov", "a"}, "a", opts,
                   [&](eg::TransferResult) {
                     first_done = g.sim.now();
-                    g.client->get({"pdsf.lbl.gov", "b"}, "b", opts, nullptr,
+                    g.client->get({"pdsf.lbl.gov", "b"}, "b", opts,
                                   [&](eg::TransferResult) {
                                     second_done = g.sim.now();
                                   });
@@ -408,14 +409,14 @@ TEST(GridFtp, WarmChannelExpiresAfterIdleTimeout) {
   g.client->set_channel_idle_timeout(10 * kSecond);
   auto opts = fast_opts();
   bool done = false;
-  g.client->get({"pdsf.lbl.gov", "a"}, "a", opts, nullptr,
+  g.client->get({"pdsf.lbl.gov", "a"}, "a", opts,
                 [&](eg::TransferResult) { done = true; });
   g.sim.run_while_pending([&] { return done; });
   // Wait past the idle window: the next transfer must rebuild the data
   // channel (though the control session persists).
   g.sim.run_until(g.sim.now() + 30 * kSecond);
   done = false;
-  g.client->get({"pdsf.lbl.gov", "b"}, "b", opts, nullptr,
+  g.client->get({"pdsf.lbl.gov", "b"}, "b", opts,
                 [&](eg::TransferResult) { done = true; });
   g.sim.run_while_pending([&] { return done; });
   EXPECT_EQ(g.client->stats().data_channel_setups, 2u);
@@ -454,7 +455,7 @@ TEST(GridFtp, ClientWithoutCredentialFailsCleanly) {
                          std::make_shared<est::HostStorage>(),
                          std::move(empty_wallet), g.registry);
   bool done = false;
-  anon.get({"pdsf.lbl.gov", "f"}, "f", fast_opts(), nullptr,
+  anon.get({"pdsf.lbl.gov", "f"}, "f", fast_opts(),
            [&](eg::TransferResult r) {
              done = true;
              ASSERT_FALSE(r.status.ok());
@@ -476,7 +477,7 @@ TEST(GridFtp, PartialFileRetrievalDefaultModule) {
   opts.eret_module = eg::GridFtpServer::kPartialModule;
   opts.eret_params = "100:200";
   bool done = false;
-  g.client->get({"pdsf.lbl.gov", "f"}, "part", opts, nullptr,
+  g.client->get({"pdsf.lbl.gov", "f"}, "part", opts,
                 [&](eg::TransferResult r) {
                   ASSERT_TRUE(r.status.ok());
                   EXPECT_EQ(r.file_size, 200);
@@ -498,7 +499,7 @@ TEST(GridFtp, PartialRangeClampedAtEof) {
   opts.eret_module = eg::GridFtpServer::kPartialModule;
   opts.eret_params = "400:1000";
   bool done = false;
-  g.client->get({"pdsf.lbl.gov", "f"}, "tail", opts, nullptr,
+  g.client->get({"pdsf.lbl.gov", "f"}, "tail", opts,
                 [&](eg::TransferResult r) {
                   ASSERT_TRUE(r.status.ok());
                   EXPECT_EQ(r.file_size, 100);
@@ -521,7 +522,7 @@ TEST(GridFtp, CustomEretModule) {
   auto opts = fast_opts();
   opts.eret_module = "subsample";
   bool done = false;
-  g.client->get({"pdsf.lbl.gov", "f"}, "sub", opts, nullptr,
+  g.client->get({"pdsf.lbl.gov", "f"}, "sub", opts,
                 [&](eg::TransferResult r) {
                   ASSERT_TRUE(r.status.ok());
                   EXPECT_EQ(r.file_size, 100'000);
@@ -537,7 +538,7 @@ TEST(GridFtp, UnknownEretModuleFails) {
   auto opts = fast_opts();
   opts.eret_module = "no-such-module";
   bool done = false;
-  g.client->get({"pdsf.lbl.gov", "f"}, "x", opts, nullptr,
+  g.client->get({"pdsf.lbl.gov", "f"}, "x", opts,
                 [&](eg::TransferResult r) {
                   done = true;
                   EXPECT_FALSE(r.status.ok());
@@ -554,7 +555,7 @@ TEST(GridFtp, LargeFileRejectedWithout64BitSupport) {
   auto opts = fast_opts();
   opts.large_file_support = false;  // the SC'2000-era limitation
   bool done = false;
-  g.client->get({"pdsf.lbl.gov", "huge"}, "huge", opts, nullptr,
+  g.client->get({"pdsf.lbl.gov", "huge"}, "huge", opts,
                 [&](eg::TransferResult r) {
                   done = true;
                   ASSERT_FALSE(r.status.ok());
@@ -568,7 +569,7 @@ TEST(GridFtp, LargeFileAcceptedWith64BitSupport) {
   Grid g(ec::gbps(2));
   g.add_file("huge", ec::Bytes{3} * ec::kGiB);
   bool done = false;
-  g.client->get({"pdsf.lbl.gov", "huge"}, "huge", fast_opts(4), nullptr,
+  g.client->get({"pdsf.lbl.gov", "huge"}, "huge", fast_opts(4),
                 [&](eg::TransferResult r) {
                   ASSERT_TRUE(r.status.ok());
                   EXPECT_EQ(r.file_size, ec::Bytes{3} * ec::kGiB);
@@ -687,7 +688,7 @@ TEST(Reliability, RestartsAfterOutageAndCompletes) {
   bool done = false;
   eg::ReliableResult result;
   eg::ReliableGet::start(*g.client, {{"pdsf.lbl.gov", "f"}}, "f", opts, rel,
-                         nullptr, [&](eg::ReliableResult r) {
+                         [&](eg::ReliableResult r) {
                            done = true;
                            result = std::move(r);
                          });
@@ -759,7 +760,7 @@ TEST(Reliability, SwitchesToAlternateReplicaWhenSlow) {
   eg::ReliableResult result;
   eg::ReliableGet::start(client,
                          {{"slow-server", "f"}, {"fast-server", "f"}}, "f",
-                         opts, rel, nullptr, [&](eg::ReliableResult r) {
+                         opts, rel, [&](eg::ReliableResult r) {
                            done = true;
                            result = std::move(r);
                          });
@@ -781,7 +782,7 @@ TEST(Reliability, GivesUpAfterMaxAttempts) {
   rel.retry_backoff = kSecond;
   bool done = false;
   eg::ReliableGet::start(*g.client, {{"pdsf.lbl.gov", "f"}}, "f", opts, rel,
-                         nullptr, [&](eg::ReliableResult r) {
+                         [&](eg::ReliableResult r) {
                            done = true;
                            EXPECT_FALSE(r.status.ok());
                            EXPECT_EQ(r.attempts, 3);

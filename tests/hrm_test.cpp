@@ -189,7 +189,7 @@ TEST(Hrm, StagedFileFetchableViaGridFtp) {
   eh::HrmClient client(grid.orb, *grid.client_host, server->host());
   client.stage("runs/x.ncx", [&](ec::Result<ec::Bytes> r) {
     ASSERT_TRUE(r.ok());
-    grid.client->get({"lbnl.host", "runs/x.ncx"}, "x.ncx", {}, nullptr,
+    grid.client->get({"lbnl.host", "runs/x.ncx"}, "x.ncx", {},
                      [&](esg::gridftp::TransferResult tr) {
                        ASSERT_TRUE(tr.status.ok())
                            << tr.status.error().to_string();

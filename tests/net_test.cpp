@@ -65,7 +65,7 @@ TEST(Fluid, SingleFlowBottleneckCompletionTime) {
   auto* r = fluid.add_resource("pipe", 1'000'000);  // 1 MB/s
   bool done = false;
   fluid.start_transfer({en::FlowSpec{{r}, en::kUnlimitedRate}}, 10'000'000,
-                       {.on_progress = nullptr, .on_complete = [&] { done = true; }});
+                       {.on_complete = [&] { done = true; }});
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_NEAR(ec::to_seconds(sim.now()), 10.0, 0.01);
@@ -77,7 +77,7 @@ TEST(Fluid, FlowCapLimitsBelowResource) {
   auto* r = fluid.add_resource("pipe", 1'000'000);
   bool done = false;
   fluid.start_transfer({en::FlowSpec{{r}, 250'000}}, 1'000'000,
-                       {nullptr, [&] { done = true; }});
+                       {[&] { done = true; }});
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_NEAR(ec::to_seconds(sim.now()), 4.0, 0.01);
@@ -118,25 +118,43 @@ TEST(Fluid, SharedPoolMultiStreamCompletion) {
   bool done = false;
   std::vector<en::FlowSpec> flows(4, en::FlowSpec{{r}, en::kUnlimitedRate});
   fluid.start_transfer(std::move(flows), 5'000'000,
-                       {nullptr, [&] { done = true; }});
+                       {[&] { done = true; }});
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_NEAR(ec::to_seconds(sim.now()), 5.0, 0.01);
 }
 
-TEST(Fluid, ProgressCallbackConservesBytes) {
+TEST(Fluid, PulledBytesMatchRateIntegral) {
+  // Nothing pushes byte counts: transferred() pulled at arbitrary instants,
+  // across rate changes, equals the integral of the transfer's rate.
   es::Simulation sim;
   en::FluidNetwork fluid(sim);
   auto* r = fluid.add_resource("pipe", 1'000'000);
-  ec::Bytes seen = 0;
   bool done = false;
-  fluid.start_transfer(
+  const auto id = fluid.start_transfer(
       {en::FlowSpec{{r}, en::kUnlimitedRate}}, 3'333'333,
-      {[&](ec::Bytes delta, ec::SimTime) { seen += delta; },
-       [&] { done = true; }});
+      {[&] { done = true; }});
+  // 1 MB/s, then 400 KB/s under cross traffic over [1 s, 2 s), then 1 MB/s.
+  sim.schedule_at(1 * kSecond, [&] { fluid.set_background(r, 600'000); });
+  sim.schedule_at(2 * kSecond, [&] { fluid.set_background(r, 0); });
+  auto integral = [](double t) {
+    if (t <= 1.0) return 1e6 * t;
+    if (t <= 2.0) return 1e6 + 4e5 * (t - 1.0);
+    return 1.4e6 + 1e6 * (t - 2.0);
+  };
+  ec::Rng rng(7);
+  for (int i = 0; i < 50; ++i) {
+    const auto at = static_cast<ec::SimTime>(rng.uniform(0.0, 3.9) * kSecond);
+    sim.schedule_at(at, [&, at] {
+      EXPECT_NEAR(static_cast<double>(fluid.transferred(id)),
+                  integral(ec::to_seconds(at)), 2.0)
+          << "at " << ec::to_seconds(at) << " s";
+    });
+  }
   sim.run();
   EXPECT_TRUE(done);
-  EXPECT_NEAR(static_cast<double>(seen), 3'333'333.0, 2.0);
+  // The last 1'933'333 bytes drain at 1 MB/s from t = 2 s.
+  EXPECT_NEAR(ec::to_seconds(sim.now()), 3.933333, 1e-6);
 }
 
 TEST(Fluid, CancelReturnsBytesDelivered) {
@@ -159,7 +177,7 @@ TEST(Fluid, DownResourceStallsThenResumes) {
   bool done = false;
   ec::SimTime done_at = 0;
   fluid.start_transfer({en::FlowSpec{{r}, en::kUnlimitedRate}}, 4'000'000,
-                       {nullptr, [&] {
+                       {[&] {
                           done = true;
                           done_at = sim.now();
                         }});
@@ -191,7 +209,7 @@ TEST(Fluid, SetFlowCapMidTransfer) {
   auto* r = fluid.add_resource("pipe", 1'000'000);
   bool done = false;
   auto id = fluid.start_transfer({en::FlowSpec{{r}, 100'000}}, 1'000'000,
-                                 {nullptr, [&] { done = true; }});
+                                 {[&] { done = true; }});
   // After 2 s (200 KB done), raise the cap to the full megabyte/s:
   // remaining 800 KB takes 0.8 s -> total 2.8 s.
   sim.schedule_at(2 * kSecond,
@@ -218,7 +236,20 @@ TEST(Fluid, ZeroByteTransferCompletesImmediately) {
   auto* r = fluid.add_resource("pipe", 1'000'000);
   bool done = false;
   fluid.start_transfer({en::FlowSpec{{r}, en::kUnlimitedRate}}, 0,
-                       {nullptr, [&] { done = true; }});
+                       {[&] { done = true; }});
+  sim.run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(sim.now(), 0);
+}
+
+TEST(Fluid, UnconstrainedTransferCompletesImmediately) {
+  // A flow crossing no resource and carrying no cap has no finite rate;
+  // its transfer drains at once instead of waiting for a timer.
+  es::Simulation sim;
+  en::FluidNetwork fluid(sim);
+  bool done = false;
+  fluid.start_transfer({en::FlowSpec{{}, en::kUnlimitedRate}}, 1'000'000,
+                       {[&] { done = true; }});
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(sim.now(), 0);
@@ -436,7 +467,7 @@ TEST(Tcp, CleanPathReachesLinkRate) {
   en::TcpOptions opts;
   opts.buffer_size = 4 * ec::kMiB;  // window ample for 100 Mb/s @ 20 ms
   en::TcpTransfer t(w.net, *w.src, *w.dst, 125'000'000, opts,
-                    {nullptr, [&](ec::Status s) { done = s.ok(); }});
+                    {[&](ec::Status s) { done = s.ok(); }});
   w.sim.run();
   EXPECT_TRUE(done);
   // 125 MB at 12.5 MB/s is 10 s; slow start adds a little.
@@ -451,7 +482,7 @@ TEST(Tcp, SmallBufferLimitsThroughput) {
   opts.buffer_size = 64 * ec::kKiB;  // 64 KiB / 40 ms RTT ~ 1.6 MB/s
   opts.slow_start = false;
   en::TcpTransfer t(w.net, *w.src, *w.dst, 16'000'000, opts,
-                    {nullptr, [&](ec::Status s) { done = s.ok(); }});
+                    {[&](ec::Status s) { done = s.ok(); }});
   w.sim.run();
   EXPECT_TRUE(done);
   const double expect_s = 16'000'000 / (64.0 * 1024 / 0.04);
@@ -495,7 +526,7 @@ TEST(Tcp, SlowStartDelaysSmallTransfers) {
     opts.slow_start = slow_start;
     bool done = false;
     en::TcpTransfer t(w.net, *w.src, *w.dst, 8'000'000, opts,
-                      {nullptr, [&](ec::Status) { done = true; }});
+                      {[&](ec::Status) { done = true; }});
     w.sim.run();
     EXPECT_TRUE(done);
     (slow_start ? cold : warm) = w.sim.now();
@@ -511,7 +542,7 @@ TEST(Tcp, WatchdogFailsStalledTransfer) {
   bool completed = false;
   ec::SimTime failed_at = 0;
   en::TcpTransfer t(w.net, *w.src, *w.dst, 125'000'000, opts,
-                    {nullptr, [&](ec::Status s) {
+                    {[&](ec::Status s) {
                        completed = true;
                        failed_at = w.sim.now();
                        result = std::move(s);
@@ -532,7 +563,7 @@ TEST(Tcp, ConnectIntoOutageIsUnavailable) {
   en::TcpOptions opts;
   opts.dead_interval = 3 * kSecond;
   en::TcpTransfer t(w.net, *w.src, *w.dst, 1000, opts,
-                    {nullptr, [&](ec::Status s) { result = std::move(s); }});
+                    {[&](ec::Status s) { result = std::move(s); }});
   w.sim.run_until(10 * kSecond);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, ec::Errc::unavailable);
@@ -554,18 +585,54 @@ TEST(Tcp, CancelStopsDelivery) {
   EXPECT_FALSE(t->active());
 }
 
-TEST(Tcp, ProgressCallbackStreamsBytes) {
+TEST(Tcp, PulledDeliveredMatchesRateIntegral) {
+  // A warm channel runs at the 12.5 MB/s link rate from t = 0; delivered()
+  // pulled at arbitrary instants is that rate's integral, and the final
+  // count is the transfer size exactly.
   TwoSite w(mbps(100));
-  ec::Bytes streamed = 0;
   bool done = false;
   en::TcpOptions opts;
   opts.buffer_size = 4 * ec::kMiB;
+  opts.slow_start = false;
   en::TcpTransfer t(w.net, *w.src, *w.dst, 10'000'000, opts,
-                    {[&](ec::Bytes d, ec::SimTime) { streamed += d; },
-                     [&](ec::Status) { done = true; }});
+                    {[&](ec::Status) { done = true; }});
+  ec::Rng rng(11);
+  for (int i = 0; i < 40; ++i) {
+    const auto at = static_cast<ec::SimTime>(rng.uniform(0.0, 0.79) * kSecond);
+    w.sim.schedule_at(at, [&, at] {
+      EXPECT_NEAR(static_cast<double>(t.delivered()),
+                  12.5e6 * ec::to_seconds(at), 2.0)
+          << "at " << ec::to_seconds(at) << " s";
+    });
+  }
   w.sim.run();
   EXPECT_TRUE(done);
-  EXPECT_NEAR(static_cast<double>(streamed), 1e7, 2.0);
+  EXPECT_EQ(t.delivered(), 10'000'000);
+}
+
+TEST(Tcp, WatchdogFiresOneCheckAfterDeadInterval) {
+  // The stall clock starts when the outage zeroes the rate, so the
+  // watchdog fails the transfer within one check period (dead/4) of
+  // outage start + dead_interval.
+  TwoSite w(mbps(100));
+  en::TcpOptions opts;
+  opts.buffer_size = 4 * ec::kMiB;
+  opts.slow_start = false;
+  opts.dead_interval = 8 * kSecond;
+  ec::Status result = ec::ok_status();
+  ec::SimTime failed_at = -1;
+  en::TcpTransfer t(w.net, *w.src, *w.dst, en::kUnboundedBytes, opts,
+                    {[&](ec::Status s) {
+                      failed_at = w.sim.now();
+                      result = std::move(s);
+                    }});
+  const ec::SimTime outage = 3 * kSecond + 300 * kMillisecond;
+  w.sim.schedule_at(outage, [&] { w.net.set_link_down(*w.link, true); });
+  w.sim.run_until(60 * kSecond);
+  ASSERT_GE(failed_at, 0);
+  EXPECT_EQ(result.error().code, ec::Errc::timed_out);
+  EXPECT_GE(failed_at, outage + opts.dead_interval);
+  EXPECT_LE(failed_at, outage + opts.dead_interval + opts.dead_interval / 4);
 }
 
 TEST(Topology, MessageSerializationScalesWithSize) {
@@ -621,7 +688,7 @@ TEST(Tcp, ProbePathSkipsDisks) {
   opts.buffer_size = 4 * ec::kMiB;
   bool done = false;
   en::TcpTransfer t(net, *src, *dst, 12'500'000, opts,
-                    {nullptr, [&](ec::Status s) { done = s.ok(); }});
+                    {[&](ec::Status s) { done = s.ok(); }});
   sim.run();
   EXPECT_TRUE(done);
   // 12.5 MB at 12.5 MB/s link rate: ~1 s, not the ~100 s the disk would take.

@@ -244,7 +244,7 @@ TEST(SubsetEndToEnd, SubsetViaRawGridFtpEret) {
   bool done = false;
   testbed.ftp_client().get(
       {"sprite.llnl.gov", "subset-ds/subset-ds.36-42.ncx"}, "sub.ncx", opts,
-      nullptr, [&](esg::gridftp::TransferResult r) {
+      [&](esg::gridftp::TransferResult r) {
         ASSERT_TRUE(r.status.ok()) << r.status.error().to_string();
         done = true;
       });
