@@ -148,8 +148,9 @@ Result<CampaignManifest> CampaignManifest::from_json(std::string_view text) {
     return Error{Errc::invalid_argument, "campaign manifest: not an object"};
   }
   CampaignManifest m;
+  bool ok = true;
   m.campaign = v.string_or("campaign", "");
-  m.seed = static_cast<std::uint64_t>(v.number_or("seed", 0));
+  m.seed = v.int_or<std::uint64_t>("seed", 0, ok);
   m.catalog_fingerprint =
       parse_hex64(v.string_or("catalog_fingerprint", "0"));
   if (const auto* arr = v.find("completed"); arr != nullptr) {
@@ -158,11 +159,10 @@ Result<CampaignManifest> CampaignManifest::from_json(std::string_view text) {
       t.dataset = e.string_or("dataset", "");
       t.file = e.string_or("file", "");
       t.site = e.string_or("site", "");
-      t.bytes = static_cast<common::Bytes>(e.number_or("bytes", 0));
+      t.bytes = e.int_or<common::Bytes>("bytes", 0, ok);
       t.checksum = parse_hex64(e.string_or("checksum", "0"));
-      t.attempts = static_cast<int>(e.number_or("attempts", 1));
-      t.finished_at =
-          static_cast<common::SimTime>(e.number_or("finished_at_ns", 0));
+      t.attempts = e.int_or<int>("attempts", 1, ok);
+      t.finished_at = e.int_or<common::SimTime>("finished_at_ns", 0, ok);
       m.record(std::move(t));
     }
   }
@@ -173,9 +173,13 @@ Result<CampaignManifest> CampaignManifest::from_json(std::string_view text) {
       f.file = e.string_or("file", "");
       f.site = e.string_or("site", "");
       f.error = e.string_or("error", "");
-      f.attempts = static_cast<int>(e.number_or("attempts", 0));
+      f.attempts = e.int_or<int>("attempts", 0, ok);
       m.record_failure(std::move(f));
     }
+  }
+  if (!ok) {
+    return Error{Errc::protocol_error,
+                 "campaign manifest: integer field not an in-range integer"};
   }
   return m;
 }

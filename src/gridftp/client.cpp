@@ -43,6 +43,7 @@ struct GridFtpClient::Op : TransferHandle,
   bool finished = false;
   bool aborted_ = false;
   bool verify_started = false;   // checksum pass scheduled (one-shot)
+  std::optional<std::uint64_t> armed_by;  // corruption consumed: its event seq
   obs::Span span;                              // whole op (RETR -> done)
   obs::SpanId verify_span = 0;                 // gridftp.checksum child
   obs::Counter* channel_bytes = nullptr;       // per-server byte counter
@@ -148,10 +149,12 @@ struct GridFtpClient::Op : TransferHandle,
           landed ? storage::file_checksum(*landed) : ~expected_checksum;
       if (actual != expected_checksum) {
         sim().metrics().counter("gridftp_checksum_failures_total").add();
-        sim().flight_recorder().record(
-            "gridftp", "checksum.mismatch", local_name,
-            {{"host", src_host != nullptr ? src_host->name() : std::string()}},
-            options.obs_track);
+        std::vector<std::pair<std::string, std::string>> attrs = {
+            {"host", src_host != nullptr ? src_host->name() : std::string()}};
+        if (armed_by) attrs.emplace_back("cause", std::to_string(*armed_by));
+        sim().flight_recorder().record("gridftp", "checksum.mismatch",
+                                       local_name, std::move(attrs),
+                                       options.obs_track);
         span.set_attr("checksum", "mismatch");
         return fail(Error{Errc::io_error,
                           "checksum mismatch on " + local_name});
@@ -383,8 +386,9 @@ struct GridFtpClient::Op : TransferHandle,
     file = std::move(*resolved);
     if (kind == Kind::get) {
       file.name = local_name;
-      if (client->corrupt_next_gets_ > 0) {
-        --client->corrupt_next_gets_;
+      if (!client->corrupt_next_gets_.empty()) {
+        armed_by = client->corrupt_next_gets_.front();
+        client->corrupt_next_gets_.pop_front();
         storage::corrupt_file(file, ticket);
         sim().metrics().counter("gridftp_corruptions_injected_total").add();
       }
@@ -484,6 +488,16 @@ bool GridFtpClient::channel_is_warm(const std::string& server,
 void GridFtpClient::invalidate_channels(const std::string& server_host) {
   sessions_.erase(server_host);
   warm_channels_.erase(server_host);
+}
+
+void GridFtpClient::inject_corruption(int transfers) {
+  const auto& events = simulation().flight_recorder().events();
+  std::optional<std::uint64_t> cause;
+  if (!events.empty() && events.back().name == "fault.corruption" &&
+      events.back().at == simulation().now()) {
+    cause = events.back().seq;
+  }
+  for (int i = 0; i < transfers; ++i) corrupt_next_gets_.push_back(cause);
 }
 
 std::shared_ptr<TransferHandle> GridFtpClient::get(

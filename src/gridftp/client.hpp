@@ -15,8 +15,10 @@
 // post-SC'2000 improvement the paper describes.
 #pragma once
 
+#include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "gridftp/server.hpp"
@@ -90,8 +92,9 @@ class GridFtpClient {
 
   /// Fault injection: corrupt the payload of the next `transfers` GETs as
   /// they land, so checksum verification (and its recovery path) can be
-  /// exercised deterministically.
-  void inject_corruption(int transfers = 1) { corrupt_next_gets_ += transfers; }
+  /// exercised deterministically.  Called from a FaultHooks::corruption
+  /// hook, each checksum.mismatch names the hook's fault event as `cause`.
+  void inject_corruption(int transfers = 1);
 
   const ClientStats& stats() const { return stats_; }
   const net::Host& local_host() const { return local_; }
@@ -125,7 +128,8 @@ class GridFtpClient {
   std::map<std::string, Session> sessions_;
   std::map<std::string, WarmChannel> warm_channels_;
   SimDuration channel_idle_timeout_ = 60 * common::kSecond;
-  int corrupt_next_gets_ = 0;
+  // Armed corruptions, oldest first: arming event seq, or none (unlinked).
+  std::deque<std::optional<std::uint64_t>> corrupt_next_gets_;
   ClientStats stats_;
   // ClientStats mirrored into the simulation's metrics registry so snapshots
   // and the Prometheus dump see the same numbers the ablations read.

@@ -10,9 +10,12 @@
 // keeping their order makes re-serialization byte-stable).
 #pragma once
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -61,6 +64,31 @@ class Value {
   /// Member's number/string with a fallback — the common access pattern.
   double number_or(std::string_view key, double fallback) const;
   std::string string_or(std::string_view key, std::string fallback) const;
+
+  /// This value as an integer of type T.  A value that is not a number,
+  /// has a fraction, or lies outside T's range yields 0 and clears `ok`, so
+  /// a decoder reads every field and then fails once.  Decoders read
+  /// integers only through this (or int_or): casting an out-of-range double
+  /// to an integer is undefined behaviour.
+  template <typename T>
+  T as_int(bool& ok) const {
+    static_assert(std::is_integral_v<T>);
+    // 2^digits is exact in a double; T's max may not be.
+    const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    const double low = std::is_signed_v<T> ? -limit : 0.0;
+    if (!is_number() || number_ != std::trunc(number_) || number_ < low ||
+        number_ >= limit) {
+      ok = false;
+      return 0;
+    }
+    return static_cast<T>(number_);
+  }
+  /// Member `key` through as_int(); `fallback` when absent.
+  template <typename T>
+  T int_or(std::string_view key, T fallback, bool& ok) const {
+    const Value* v = find(key);
+    return v != nullptr ? v->as_int<T>(ok) : fallback;
+  }
 
  private:
   Type type_ = Type::null;

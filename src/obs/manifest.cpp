@@ -32,11 +32,11 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-FlightEvent event_from_json(const json::Value& v) {
+FlightEvent event_from_json(const json::Value& v, bool& ok) {
   FlightEvent e;
-  e.seq = static_cast<std::uint64_t>(v.number_or("seq", 0));
-  e.at = static_cast<common::SimTime>(v.number_or("at_ns", 0));
-  e.track = static_cast<TrackId>(v.number_or("track", 0));
+  e.seq = v.int_or<std::uint64_t>("seq", 0, ok);
+  e.at = v.int_or<common::SimTime>("at_ns", 0, ok);
+  e.track = v.int_or<TrackId>("track", 0, ok);
   e.category = v.string_or("category", "");
   e.name = v.string_or("name", "");
   e.target = v.string_or("target", "");
@@ -48,9 +48,9 @@ FlightEvent event_from_json(const json::Value& v) {
   return e;
 }
 
-MetricsSnapshot snapshot_from_json(const json::Value& v) {
+MetricsSnapshot snapshot_from_json(const json::Value& v, bool& ok) {
   MetricsSnapshot snap;
-  snap.at = static_cast<common::SimTime>(v.number_or("sim_time_ns", 0));
+  snap.at = v.int_or<common::SimTime>("sim_time_ns", 0, ok);
   if (const json::Value* metrics = v.find("metrics"); metrics != nullptr) {
     for (const auto& mv : metrics->as_array()) {
       SnapshotEntry e;
@@ -72,10 +72,10 @@ MetricsSnapshot snapshot_from_json(const json::Value& v) {
         }
         if (const json::Value* b = mv.find("buckets"); b != nullptr) {
           for (const auto& bv : b->as_array()) {
-            e.buckets.push_back(static_cast<std::uint64_t>(bv.as_number()));
+            e.buckets.push_back(bv.as_int<std::uint64_t>(ok));
           }
         }
-        e.count = static_cast<std::uint64_t>(mv.number_or("count", 0));
+        e.count = mv.int_or<std::uint64_t>("count", 0, ok);
         e.sum = mv.number_or("sum", 0);
       } else {
         e.value = mv.number_or("value", 0);
@@ -121,18 +121,17 @@ std::string alert_to_json(const AlertRecord& a) {
   return out;
 }
 
-AlertRecord alert_from_json(const json::Value& v) {
+AlertRecord alert_from_json(const json::Value& v, bool& ok) {
   AlertRecord a;
   a.rule = v.string_or("rule", "");
   a.kind = v.string_or("kind", "burn_rate") == "anomaly" ? AlertKind::anomaly
                                                          : AlertKind::burn_rate;
   a.metric = v.string_or("metric", "");
-  a.fired_at = static_cast<common::SimTime>(v.number_or("fired_at_ns", 0));
+  a.fired_at = v.int_or<common::SimTime>("fired_at_ns", 0, ok);
   if (const json::Value* r = v.find("resolved"); r != nullptr) {
     a.resolved = r->as_bool();
   }
-  a.resolved_at =
-      static_cast<common::SimTime>(v.number_or("resolved_at_ns", 0));
+  a.resolved_at = v.int_or<common::SimTime>("resolved_at_ns", 0, ok);
   a.value = v.number_or("value", 0);
   a.threshold = v.number_or("threshold", 0);
   return a;
@@ -187,13 +186,13 @@ std::string file_profile_to_json(const FileProfile& fp) {
   return out;
 }
 
-FileProfile file_profile_from_json(const json::Value& v) {
+FileProfile file_profile_from_json(const json::Value& v, bool& ok) {
   FileProfile fp;
   fp.file = v.string_or("file", "");
-  fp.track = static_cast<TrackId>(v.number_or("track", 0));
-  fp.span = static_cast<SpanId>(v.number_or("span", 0));
-  fp.start = static_cast<common::SimTime>(v.number_or("start_ns", 0));
-  fp.end = static_cast<common::SimTime>(v.number_or("end_ns", 0));
+  fp.track = v.int_or<TrackId>("track", 0, ok);
+  fp.span = v.int_or<SpanId>("span", 0, ok);
+  fp.start = v.int_or<common::SimTime>("start_ns", 0, ok);
+  fp.end = v.int_or<common::SimTime>("end_ns", 0, ok);
   if (const json::Value* b = v.find("failed")) fp.failed = b->as_bool();
   if (const json::Value* b = v.find("staged")) fp.staged = b->as_bool();
   if (const json::Value* b = v.find("clamped")) fp.clamped = b->as_bool();
@@ -202,7 +201,7 @@ FileProfile file_profile_from_json(const json::Value& v) {
     for (std::size_t i = 0;
          i < arr.size() && i < static_cast<std::size_t>(kProfileCategories);
          ++i) {
-      fp.self[i] = static_cast<common::SimDuration>(arr[i].as_number());
+      fp.self[i] = arr[i].as_int<common::SimDuration>(ok);
     }
   }
   if (const json::Value* steps = v.find("critical_path")) {
@@ -210,37 +209,34 @@ FileProfile file_profile_from_json(const json::Value& v) {
       CriticalStep s;
       s.frame = sv.string_or("frame", "");
       s.category = profile_category_from_name(sv.string_or("category", ""));
-      s.start = static_cast<common::SimTime>(sv.number_or("start_ns", 0));
-      s.end = static_cast<common::SimTime>(sv.number_or("end_ns", 0));
-      s.span = static_cast<SpanId>(sv.number_or("span", 0));
+      s.start = sv.int_or<common::SimTime>("start_ns", 0, ok);
+      s.end = sv.int_or<common::SimTime>("end_ns", 0, ok);
+      s.span = sv.int_or<SpanId>("span", 0, ok);
       fp.critical_path.push_back(std::move(s));
     }
   }
   return fp;
 }
 
-TimeWhereProfile profile_from_json(const json::Value& v) {
+TimeWhereProfile profile_from_json(const json::Value& v, bool& ok) {
   TimeWhereProfile p;
   p.root_span = v.string_or("root", "");
-  p.at = static_cast<common::SimTime>(v.number_or("at_ns", 0));
-  p.files_profiled =
-      static_cast<std::uint64_t>(v.number_or("files_profiled", 0));
-  p.dropped_spans =
-      static_cast<std::uint64_t>(v.number_or("dropped_spans", 0));
-  p.clamped_spans =
-      static_cast<std::uint64_t>(v.number_or("clamped_spans", 0));
-  p.total = static_cast<common::SimDuration>(v.number_or("total_ns", 0));
+  p.at = v.int_or<common::SimTime>("at_ns", 0, ok);
+  p.files_profiled = v.int_or<std::uint64_t>("files_profiled", 0, ok);
+  p.dropped_spans = v.int_or<std::uint64_t>("dropped_spans", 0, ok);
+  p.clamped_spans = v.int_or<std::uint64_t>("clamped_spans", 0, ok);
+  p.total = v.int_or<common::SimDuration>("total_ns", 0, ok);
   if (const json::Value* cats = v.find("categories")) {
     for (const auto& cv : cats->as_array()) {
       const ProfileCategory c =
           profile_category_from_name(cv.string_or("name", ""));
       p.category_self[static_cast<int>(c)] =
-          static_cast<common::SimDuration>(cv.number_or("self_ns", 0));
+          cv.int_or<common::SimDuration>("self_ns", 0, ok);
     }
   }
   if (const json::Value* files = v.find("files")) {
     for (const auto& fv : files->as_array()) {
-      p.files.push_back(file_profile_from_json(fv));
+      p.files.push_back(file_profile_from_json(fv, ok));
     }
   }
   if (const json::Value* exs = v.find("exemplars")) {
@@ -248,11 +244,10 @@ TimeWhereProfile profile_from_json(const json::Value& v) {
       TailExemplar ex;
       ex.category = profile_category_from_name(ev.string_or("category", ""));
       ex.file = ev.string_or("file", "");
-      ex.track = static_cast<TrackId>(ev.number_or("track", 0));
-      ex.span = static_cast<SpanId>(ev.number_or("span", 0));
-      ex.self = static_cast<common::SimDuration>(ev.number_or("self_ns", 0));
-      ex.total =
-          static_cast<common::SimDuration>(ev.number_or("total_ns", 0));
+      ex.track = ev.int_or<TrackId>("track", 0, ok);
+      ex.span = ev.int_or<SpanId>("span", 0, ok);
+      ex.self = ev.int_or<common::SimDuration>("self_ns", 0, ok);
+      ex.total = ev.int_or<common::SimDuration>("total_ns", 0, ok);
       p.exemplars.push_back(std::move(ex));
     }
   }
@@ -260,29 +255,29 @@ TimeWhereProfile profile_from_json(const json::Value& v) {
     for (const auto& sv : stacks->as_array()) {
       StackWeight sw;
       sw.stack = sv.string_or("stack", "");
-      sw.self = static_cast<common::SimDuration>(sv.number_or("self_ns", 0));
+      sw.self = sv.int_or<common::SimDuration>("self_ns", 0, ok);
       p.stacks.push_back(std::move(sw));
     }
   }
   return p;
 }
 
-SeriesSummary series_from_json(const json::Value& v) {
+SeriesSummary series_from_json(const json::Value& v, bool& ok) {
   SeriesSummary s;
   s.name = v.string_or("name", "");
   s.labels = labels_from_json(v, "labels");
-  s.samples = static_cast<std::uint64_t>(v.number_or("samples", 0));
+  s.samples = v.int_or<std::uint64_t>("samples", 0, ok);
   s.min = v.number_or("min", 0);
   s.max = v.number_or("max", 0);
   s.sum = v.number_or("sum", 0);
   if (const json::Value* points = v.find("points"); points != nullptr) {
     for (const auto& pv : points->as_array()) {
       RollupPoint p;
-      p.start = static_cast<common::SimTime>(pv.number_or("start_ns", 0));
+      p.start = pv.int_or<common::SimTime>("start_ns", 0, ok);
       p.min = pv.number_or("min", 0);
       p.max = pv.number_or("max", 0);
       p.sum = pv.number_or("sum", 0);
-      p.count = static_cast<std::uint64_t>(pv.number_or("count", 0));
+      p.count = pv.int_or<std::uint64_t>("count", 0, ok);
       s.points.push_back(p);
     }
   }
@@ -355,15 +350,14 @@ Result<RunManifest> RunManifest::from_json(std::string_view text) {
     return Error{Errc::protocol_error, "not a run manifest (no \"manifest\")"};
   }
   RunManifest m;
+  bool ok = true;
   m.name = v.string_or("manifest", "");
-  m.seed = static_cast<std::uint64_t>(v.number_or("seed", 0));
+  m.seed = v.int_or<std::uint64_t>("seed", 0, ok);
   m.topology = v.string_or("topology", "");
   m.fault_timeline_hash = parse_hex64(v.string_or("fault_timeline_hash", "0"));
   m.flight_digest = parse_hex64(v.string_or("flight_digest", "0"));
-  m.events_recorded =
-      static_cast<std::uint64_t>(v.number_or("events_recorded", 0));
-  m.events_evicted =
-      static_cast<std::uint64_t>(v.number_or("events_evicted", 0));
+  m.events_recorded = v.int_or<std::uint64_t>("events_recorded", 0, ok);
+  m.events_evicted = v.int_or<std::uint64_t>("events_evicted", 0, ok);
   if (const json::Value* bench = v.find("bench"); bench != nullptr) {
     for (const auto& bv : bench->as_array()) {
       m.bench.push_back(
@@ -372,25 +366,29 @@ Result<RunManifest> RunManifest::from_json(std::string_view text) {
   }
   if (const json::Value* alerts = v.find("alerts"); alerts != nullptr) {
     for (const auto& av : alerts->as_array()) {
-      m.alerts.push_back(alert_from_json(av));
+      m.alerts.push_back(alert_from_json(av, ok));
     }
   }
   if (const json::Value* series = v.find("series"); series != nullptr) {
     for (const auto& sv : series->as_array()) {
-      m.series.push_back(series_from_json(sv));
+      m.series.push_back(series_from_json(sv, ok));
     }
   }
   if (const json::Value* profile = v.find("profile"); profile != nullptr) {
     m.has_profile = true;
-    m.profile = profile_from_json(*profile);
+    m.profile = profile_from_json(*profile, ok);
   }
   if (const json::Value* events = v.find("events"); events != nullptr) {
     for (const auto& ev : events->as_array()) {
-      m.events.push_back(event_from_json(ev));
+      m.events.push_back(event_from_json(ev, ok));
     }
   }
   if (const json::Value* metrics = v.find("metrics"); metrics != nullptr) {
-    m.metrics = snapshot_from_json(*metrics);
+    m.metrics = snapshot_from_json(*metrics, ok);
+  }
+  if (!ok) {
+    return Error{Errc::protocol_error,
+                 "run manifest: integer field not an in-range integer"};
   }
   return m;
 }

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "obs/cause.hpp"
+
 namespace esg::obs {
 
 namespace {
@@ -28,30 +30,6 @@ bool is_anomaly(const FlightEvent& e) {
          e.name == "checksum.mismatch" || e.name == "corruption.refetch" ||
          e.name == "retry.scheduled" || e.name == "stage.retry" ||
          e.name == "file.failed";
-}
-
-bool is_fault_begin(const FlightEvent& e) {
-  return e.category == "chaos" && e.name.size() > 6 &&
-         e.name.compare(e.name.size() - 6, 6, ".begin") == 0;
-}
-
-bool is_fault_instant(const FlightEvent& e) {
-  return e.category == "chaos" && e.name == "fault.corruption";
-}
-
-/// End time of a durable fault (matching ".end" with the same stem and
-/// target), or -1 when it never lifted inside the recorded window.
-common::SimTime fault_end(const std::vector<FlightEvent>& events,
-                          const FlightEvent& begin) {
-  const std::string stem = begin.name.substr(0, begin.name.size() - 6);
-  for (const auto& e : events) {
-    if (e.seq <= begin.seq) continue;
-    if (e.category == "chaos" && e.target == begin.target &&
-        e.name == stem + ".end") {
-      return e.at;
-    }
-  }
-  return -1;
 }
 
 }  // namespace
@@ -130,41 +108,7 @@ Postmortem build_postmortem(const std::vector<FlightEvent>& events,
   if (anomaly != nullptr) {
     pm.degraded = true;
     pm.first_anomaly = *anomaly;
-    // Prefer the latest fault still active when the symptom struck; fall
-    // back to the latest fault that lifted shortly before it (aftermath —
-    // retries draining, breakers still open).  Anything older than the
-    // recency window is noise, not cause: better to report no root cause
-    // than a confident wrong one.
-    constexpr common::SimDuration kRecentWindow = 120 * common::kSecond;
-    const FlightEvent* active_cause = nullptr;
-    const FlightEvent* recent_cause = nullptr;
-    for (const auto& e : events) {
-      if (e.at > anomaly->at) break;
-      const bool durable = is_fault_begin(e);
-      if (!durable && !is_fault_instant(e)) continue;
-      common::SimTime over = e.at;  // when the fault stopped acting
-      if (durable) {
-        const common::SimTime end = fault_end(events, e);
-        if (end < 0 || end >= anomaly->at) {
-          active_cause = &e;
-          continue;
-        }
-        over = end;
-      }
-      if (anomaly->at - over <= kRecentWindow) recent_cause = &e;
-    }
-    // A corruption injection stays armed until a payload consumes it, so a
-    // checksum symptom matches the latest corruption event at any lag.
-    if (anomaly->name == "checksum.mismatch" ||
-        anomaly->name == "corruption.refetch") {
-      for (const auto& e : events) {
-        if (e.at > anomaly->at) break;
-        if (is_fault_instant(e)) recent_cause = &e;
-      }
-      if (recent_cause != nullptr) active_cause = nullptr;
-    }
-    const FlightEvent* cause =
-        active_cause != nullptr ? active_cause : recent_cause;
+    const FlightEvent* cause = cause_of(events, anomaly->at, anomaly);
     if (cause != nullptr) {
       pm.has_root_cause = true;
       pm.root_cause = *cause;

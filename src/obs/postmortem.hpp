@@ -13,7 +13,7 @@
 //     transitions and link-state changes that overlapped it;
 //   * root-cause attribution: the first anomaly the file suffered
 //     (timeout, slow-replica abandon, checksum mismatch, stage retry, ...)
-//     is matched to the chaos fault that was active when it struck —
+//     is matched to its chaos fault by cause_of() (obs/cause.hpp) —
 //     "stream stalled 12 s after brownout(lbnl-uplink)".
 //
 // The engine only reads events; it works identically on a live simulation

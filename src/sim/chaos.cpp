@@ -167,6 +167,8 @@ void FaultInjector::arm(Simulation& simulation, FaultHooks hooks) const {
             std::max(e.start, simulation.now()),
             [e, shared_hooks, injected, recorder] {
               injected->add();
+              // Record, then call the hook: consumers armed inside it link
+              // to this event (see FaultHooks).
               recorder->record("chaos", "fault.corruption", e.target,
                                {{"description", e.description}});
               if (shared_hooks->corruption) shared_hooks->corruption(e);

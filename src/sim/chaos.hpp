@@ -61,6 +61,13 @@ struct FaultEvent {
 /// Callbacks invoked at fault transitions.  Durable kinds get (event, begin);
 /// corruption fires once at its start time.  Unset hooks are skipped (the
 /// fault still counts in the chaos metrics).
+///
+/// Corruption contract: the injector records the `fault.corruption` flight
+/// event and then calls `corruption` synchronously, so inside the hook that
+/// event is the newest one in the recorder, stamped now().  A hook that arms
+/// a consumer (GridFtpClient::inject_corruption) must do so before recording
+/// anything else; the consumer links to that event's seq, which is how the
+/// resulting symptom names its exact cause.
 struct FaultHooks {
   std::function<void(const FaultEvent&, bool begin)> brownout;
   std::function<void(const FaultEvent&, bool begin)> loss_spike;

@@ -92,11 +92,10 @@ common::Result<FaultSchedule> FaultSchedule::from_json(std::string_view text) {
                                   "'");
   }
   FaultSchedule sched;
+  bool ok = true;
   sched.name = root.string_or("name", "");
-  sched.sim_seed =
-      static_cast<std::uint64_t>(root.number_or("sim_seed", 1.0));
-  sched.horizon = static_cast<common::SimTime>(
-      root.number_or("horizon_ns", static_cast<double>(sched.horizon)));
+  sched.sim_seed = root.int_or<std::uint64_t>("sim_seed", 1, ok);
+  sched.horizon = root.int_or("horizon_ns", sched.horizon, ok);
   const auto* faults = root.find("faults");
   if (faults != nullptr) {
     if (!faults->is_array()) {
@@ -113,14 +112,18 @@ common::Result<FaultSchedule> FaultSchedule::from_json(std::string_view text) {
       sim::FaultEvent e;
       e.kind = kind.value();
       e.target = f.string_or("target", "");
-      e.start = static_cast<common::SimTime>(f.number_or("start_ns", 0.0));
-      e.duration =
-          static_cast<common::SimDuration>(f.number_or("duration_ns", 0.0));
+      e.start = f.int_or<common::SimTime>("start_ns", 0, ok);
+      e.duration = f.int_or<common::SimDuration>("duration_ns", 0, ok);
       e.magnitude = f.number_or("magnitude", 0.0);
       e.description = f.string_or("description", "");
       sim::normalize_fault(e);
       sched.faults.push_back(std::move(e));
     }
+  }
+  if (!ok) {
+    return common::make_error(
+        common::Errc::protocol_error,
+        "fault schedule: integer field not an in-range integer");
   }
   return sched;
 }

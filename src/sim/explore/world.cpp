@@ -8,6 +8,7 @@
 #include "hrm/hrm.hpp"
 #include "mds/mds.hpp"
 #include "obs/alert.hpp"
+#include "obs/cause.hpp"
 #include "replica/catalog.hpp"
 #include "rm/request_manager.hpp"
 #include "sim/chaos.hpp"
@@ -338,7 +339,7 @@ ScheduleRun run_schedule(const FaultSchedule& schedule,
   for (const auto& a : out.manifest.alerts) {
     if (a.fired_at > out.finished_at) continue;
     ++out.alerts_fired;
-    if (obs::correlate_alert(out.manifest.events, a) == nullptr) {
+    if (obs::cause_of(out.manifest.events, a.fired_at) == nullptr) {
       out.uncorrelated_alerts.push_back(
           a.rule + " @" + common::format_time(a.fired_at));
     }

@@ -255,6 +255,17 @@ TEST(CampaignManifest, RoundTripsByteStableAndDeduplicates) {
   EXPECT_TRUE(parsed.value().is_complete("b.ncx", "dst-y"));
 }
 
+TEST(CampaignManifest, RejectsIntegerFieldsThatAreNotInRangeIntegers) {
+  for (const char* text :
+       {R"({"seed":1e300})", R"({"completed":[{"attempts":1.5}]})",
+        R"({"completed":[{"bytes":1e19}]})",
+        R"({"failed":[{"attempts":3e9}]})"}) {
+    const auto parsed = ecp::CampaignManifest::from_json(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.error().code, ec::Errc::protocol_error) << text;
+  }
+}
+
 TEST(CampaignManifest, ReportIsInvariantToCompletionOrder) {
   ecp::CampaignManifest fwd;
   ecp::CampaignManifest rev;

@@ -70,6 +70,19 @@ TEST(ScheduleJson, RejectsUnknownSchemaAndKind) {
   EXPECT_FALSE(ex::FaultSchedule::from_json("[1,2]").ok());
 }
 
+TEST(ScheduleJson, RejectsIntegerFieldsThatAreNotInRangeIntegers) {
+  for (const char* fields :
+       {R"("sim_seed":-1)", R"("horizon_ns":1e300)",
+        R"("faults":[{"kind":"brownout","start_ns":2.5}])",
+        R"("faults":[{"kind":"brownout","duration_ns":-1e30}])"}) {
+    const std::string text =
+        std::string(R"({"schema":"esg.fault_schedule.v1",)") + fields + "}";
+    const auto parsed = ex::FaultSchedule::from_json(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.error().code, ec::Errc::protocol_error) << text;
+  }
+}
+
 TEST(ScheduleJson, ParseNormalizesFaults) {
   auto parsed = ex::FaultSchedule::from_json(
       "{\"schema\":\"esg.fault_schedule.v1\",\"faults\":["

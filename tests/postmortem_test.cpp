@@ -1,15 +1,20 @@
 // Flight recorder, causal postmortems, run manifests, and the SLO /
 // regression watchdog (DESIGN.md §9): the ring is bounded and digested,
 // same-seed chaos runs serialize to byte-identical manifests, an injected
-// brownout is traced back to the faulted link, per-phase attribution tiles
+// brownout is traced back to the faulted link, a checksum mismatch to the
+// exact corruption that armed it (cause_of), per-phase attribution tiles
 // the rm.file span exactly, and SLO / drift verdicts behave as golden.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "grid_fixture.hpp"
+#include "obs/cause.hpp"
 #include "obs/manifest.hpp"
 #include "obs/postmortem.hpp"
 #include "obs/recorder.hpp"
@@ -252,6 +257,158 @@ TEST(Postmortem, ManifestRoundTripsAndWorksOffline) {
   const auto degraded = eo::degraded_files(parsed->events);
   ASSERT_EQ(degraded.size(), 1u);
   EXPECT_EQ(degraded[0], "big.ncx");
+}
+
+// ---------- fault attribution (cause_of) ----------
+
+namespace {
+
+eo::FlightEvent event(std::uint64_t seq, ec::SimTime at, std::string category,
+                      std::string name, std::string target,
+                      std::vector<std::pair<std::string, std::string>> attrs =
+                          {}) {
+  eo::FlightEvent e;
+  e.seq = seq;
+  e.at = at;
+  e.category = std::move(category);
+  e.name = std::move(name);
+  e.target = std::move(target);
+  e.attrs = std::move(attrs);
+  return e;
+}
+
+/// Two clients, each armed with one corruption; b consumes its own early,
+/// a consumes its own 240 s after it was armed.
+std::vector<eo::FlightEvent> two_client_stream() {
+  std::vector<eo::FlightEvent> e;
+  e.push_back(event(0, 1 * kSecond, "rm", "file.queued", "fa"));
+  e.push_back(event(1, 1 * kSecond, "rm", "file.queued", "fb"));
+  e.push_back(event(2, 10 * kSecond, "chaos", "fault.corruption", "a.client"));
+  e.push_back(event(3, 20 * kSecond, "chaos", "fault.corruption", "b.client"));
+  e.push_back(event(4, 40 * kSecond, "gridftp", "checksum.mismatch", "fb",
+                    {{"host", "lbnl.host"}, {"cause", "3"}}));
+  e.push_back(event(5, 250 * kSecond, "gridftp", "checksum.mismatch", "fa",
+                    {{"host", "lbnl.host"}, {"cause", "2"}}));
+  return e;
+}
+
+constexpr ec::Bytes kCorruptFile = 8'000'000;
+
+std::unique_ptr<esg::gridftp::GridFtpClient> second_client(
+    MiniGrid& grid, const std::string& host_name) {
+  auto* host = grid.net.add_host({.name = host_name, .site = "client-site",
+                                  .nic_rate = ec::gbps(1),
+                                  .cpu_rate = ec::gbps(1),
+                                  .disk_rate = ec::gbps(1)});
+  esg::security::CredentialWallet wallet;
+  wallet.set_identity(
+      grid.ca.issue("/O=Grid/CN=esg-user", 0, 100000 * ec::kHour));
+  return std::make_unique<esg::gridftp::GridFtpClient>(
+      grid.orb, *host, std::make_shared<esg::storage::HostStorage>(),
+      std::move(wallet), grid.registry);
+}
+
+void fetch_at(MiniGrid& grid, esg::gridftp::GridFtpClient& client,
+              ec::SimTime at, const std::string& local_name) {
+  grid.sim.schedule_at(at, [&client, local_name] {
+    client.get({"lbnl.host", "data.ncx"}, local_name, {},
+               [](esg::gridftp::TransferResult) {});
+  });
+}
+
+std::vector<eo::FlightEvent> recorded(const MiniGrid& grid) {
+  const auto& ring = grid.sim.flight_recorder().events();
+  return {ring.begin(), ring.end()};
+}
+
+}  // namespace
+
+TEST(CauseOf, TwoClientCorruptionsAttributeToTheirOwnArmingEvent) {
+  const auto events = two_client_stream();
+  const auto fa = eo::build_postmortem(events, "fa");
+  ASSERT_TRUE(fa.has_root_cause);
+  EXPECT_EQ(fa.root_cause.target, "a.client");
+  EXPECT_EQ(fa.anomaly_lag, 240 * kSecond);
+  const auto fb = eo::build_postmortem(events, "fb");
+  ASSERT_TRUE(fb.has_root_cause);
+  EXPECT_EQ(fb.root_cause.target, "b.client");
+  // An alert at 260 s: a's corruption stopped acting at 250 s (the event
+  // naming it); b's at 40 s, outside the window.
+  const auto* alert = eo::cause_of(events, 260 * kSecond);
+  ASSERT_NE(alert, nullptr);
+  EXPECT_EQ(alert->target, "a.client");
+}
+
+TEST(CauseOf, EachMismatchNamesItsOwnClientsCorruption) {
+  MiniGrid grid;
+  (void)grid.servers.at("lbnl.host")->storage().put(
+      esg::storage::FileObject::synthetic("data.ncx", kCorruptFile));
+  auto client_b = second_client(grid, "client-b");
+
+  es::FaultInjector inj{3};
+  inj.add({es::FaultKind::corruption, "client", 1 * kSecond, 0, 0.0, "a1"})
+      .add({es::FaultKind::corruption, "client-b", 2 * kSecond, 0, 0.0, "b1"})
+      .add({es::FaultKind::corruption, "client", 3 * kSecond, 0, 0.0, "a2"});
+  es::FaultHooks hooks;
+  hooks.corruption = [&](const es::FaultEvent& e) {
+    (e.target == "client" ? *grid.client : *client_b).inject_corruption(1);
+  };
+  inj.arm(grid.sim, std::move(hooks));
+  // Consumed out of arming order: b first, then a's two in turn.
+  fetch_at(grid, *client_b, 5 * kSecond, "b/1");
+  fetch_at(grid, *grid.client, 25 * kSecond, "a/1");
+  fetch_at(grid, *grid.client, 45 * kSecond, "a/2");
+  grid.sim.run();
+
+  const auto events = recorded(grid);
+  const std::map<std::string, std::string> armed_by = {
+      {"b/1", "b1"}, {"a/1", "a1"}, {"a/2", "a2"}};
+  int mismatches = 0;
+  for (const auto& e : events) {
+    if (e.name != "checksum.mismatch") continue;
+    ++mismatches;
+    ASSERT_FALSE(e.attr("cause").empty()) << e.target;
+    const auto* cause = eo::cause_of(events, e.at, &e);
+    ASSERT_NE(cause, nullptr) << e.target;
+    EXPECT_EQ(cause->name, "fault.corruption");
+    EXPECT_EQ(std::to_string(cause->seq), e.attr("cause"));
+    EXPECT_EQ(cause->attr("description"), armed_by.at(e.target)) << e.target;
+  }
+  EXPECT_EQ(mismatches, 3);
+}
+
+TEST(CauseOf, UnlinkedDirectInjectionFallsBackToTheWindowRule) {
+  MiniGrid grid;
+  (void)grid.servers.at("lbnl.host")->storage().put(
+      esg::storage::FileObject::synthetic("data.ncx", kCorruptFile));
+  es::FaultInjector inj{5};
+  // A corruption armed for a client nobody runs: it stops acting at its
+  // injection, so it explains nothing 170 s later.
+  inj.add({es::FaultKind::corruption, "client-b", 30 * kSecond, 0, 0.0, ""})
+      .add({es::FaultKind::brownout, "isi-uplink", 300 * kSecond,
+            100 * kSecond, 0.5, ""});
+  inj.arm(grid.sim, {});
+  // Direct injections (no fault.corruption event at now()): unlinked.
+  grid.client->inject_corruption(1);
+  fetch_at(grid, *grid.client, 200 * kSecond, "in/1");
+  grid.sim.schedule_at(340 * kSecond,
+                       [&grid] { grid.client->inject_corruption(1); });
+  fetch_at(grid, *grid.client, 350 * kSecond, "in/2");
+  grid.sim.run();
+
+  const auto events = recorded(grid);
+  std::vector<const eo::FlightEvent*> mismatches;
+  for (const auto& e : events) {
+    if (e.name == "checksum.mismatch") mismatches.push_back(&e);
+  }
+  ASSERT_EQ(mismatches.size(), 2u);
+  for (const auto* m : mismatches) EXPECT_TRUE(m->attr("cause").empty());
+  // Nothing active or recent at 200 s: no cause, not the other client's.
+  EXPECT_EQ(eo::cause_of(events, mismatches[0]->at, mismatches[0]), nullptr);
+  // At 350 s the brownout is active: the window rule names it.
+  const auto* cause = eo::cause_of(events, mismatches[1]->at, mismatches[1]);
+  ASSERT_NE(cause, nullptr);
+  EXPECT_EQ(cause->name, "fault.brownout.begin");
 }
 
 // ---------- SLO rules ----------

@@ -3,16 +3,18 @@
 // queries past the raw horizon), the sampling hook over the metrics
 // registry, the online AlertEngine (burn-rate multi-window rules, EWMA +
 // CUSUM anomaly detection, flight events), root-cause correlation of
-// firings against injected faults, manifest serialization of alert/series
+// firings against injected faults (cause_of), manifest serialization of alert/series
 // timelines (byte-deterministic round-trip, drift detection), flight-ring
 // eviction digests, and same-seed replay identity of the whole pipeline
 // scheduled on the simulated clock.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/alert.hpp"
+#include "obs/cause.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
@@ -364,16 +366,22 @@ eo::FlightEvent chaos_event(std::uint64_t seq, SimTime at,
   return e;
 }
 
-eo::AlertRecord alert_at(SimTime at) {
-  eo::AlertRecord a;
-  a.rule = "r";
-  a.fired_at = at;
-  return a;
+eo::FlightEvent mismatch(std::uint64_t seq, SimTime at, std::string cause) {
+  eo::FlightEvent e;
+  e.seq = seq;
+  e.at = at;
+  e.category = "gridftp";
+  e.name = "checksum.mismatch";
+  e.target = "f";
+  e.attrs = {{"host", "lbnl.host"}, {"cause", std::move(cause)}};
+  return e;
 }
 
 }  // namespace
 
-TEST(CorrelateAlert, PrefersActiveFaultThenRecentThenNothing) {
+// An alert firing has no symptom event of its own, so its cause is the
+// window rule at fired_at.
+TEST(CauseOf, PrefersActiveFaultThenRecentThenNothing) {
   std::vector<eo::FlightEvent> events;
   events.push_back(chaos_event(0, 10 * kSecond, "fault.brownout.begin",
                                "lbnl-uplink"));
@@ -383,20 +391,45 @@ TEST(CorrelateAlert, PrefersActiveFaultThenRecentThenNothing) {
                                "client"));
 
   // Fired mid-fault: the active brownout wins.
-  const auto* active = eo::correlate_alert(events, alert_at(30 * kSecond));
+  const auto* active = eo::cause_of(events, 30 * kSecond);
   ASSERT_NE(active, nullptr);
   EXPECT_EQ(active->name, "fault.brownout.begin");
   // Fired after the corruption: the most recent fault within the window.
-  const auto* recent = eo::correlate_alert(events, alert_at(100 * kSecond));
+  const auto* recent = eo::cause_of(events, 100 * kSecond);
   ASSERT_NE(recent, nullptr);
   EXPECT_EQ(recent->name, "fault.corruption");
   // Fired long after everything ended: nothing plausibly explains it.
-  EXPECT_EQ(eo::correlate_alert(events, alert_at(400 * kSecond)), nullptr);
+  EXPECT_EQ(eo::cause_of(events, 400 * kSecond), nullptr);
   // Non-chaos events never correlate.
   std::vector<eo::FlightEvent> other;
   other.push_back(chaos_event(0, 10 * kSecond, "fault.brownout.begin", "x"));
   other[0].category = "rm";
-  EXPECT_EQ(eo::correlate_alert(other, alert_at(20 * kSecond)), nullptr);
+  EXPECT_EQ(eo::cause_of(other, 20 * kSecond), nullptr);
+}
+
+TEST(CauseOf, LinkIsHonouredBeyondTheRecencyWindow) {
+  // Armed at 10 s, consumed at 400 s: far outside the 120 s window, yet the
+  // link names the arming event exactly.
+  std::vector<eo::FlightEvent> events;
+  events.push_back(chaos_event(0, 10 * kSecond, "fault.corruption", "c"));
+  events.push_back(mismatch(1, 400 * kSecond, "0"));
+  const auto* cause = eo::cause_of(events, events[1].at, &events[1]);
+  ASSERT_NE(cause, nullptr);
+  EXPECT_EQ(cause->seq, 0u);
+  // Without the link, the window rule alone finds nothing that late.
+  events[1].attrs.pop_back();
+  EXPECT_EQ(eo::cause_of(events, events[1].at, &events[1]), nullptr);
+}
+
+TEST(CauseOf, LinkToAnEvictedSeqYieldsNoCause) {
+  // The ring kept seqs 5.. only; the symptom names seq 2.  A brownout is
+  // active, but a named cause that is gone is no cause, never a guess.
+  std::vector<eo::FlightEvent> events;
+  events.push_back(chaos_event(5, 10 * kSecond, "fault.brownout.begin",
+                               "lbnl-uplink"));
+  events.push_back(mismatch(6, 20 * kSecond, "2"));
+  EXPECT_EQ(eo::cause_of(events, events[1].at, &events[1]), nullptr);
+  EXPECT_NE(eo::cause_of(events, events[1].at), nullptr);
 }
 
 // ------------------------------------------------- manifest serialization
@@ -468,6 +501,20 @@ TEST(Manifest, AlertTimelineDriftIsFlaggedExactly) {
 }
 
 // ------------------------------------------------- flight-ring eviction
+
+TEST(Manifest, RejectsIntegerFieldsThatAreNotInRangeIntegers) {
+  // Each would be an undefined float-to-integer cast if decoded blindly.
+  for (const char* text :
+       {R"({"manifest":"x","seed":1e300})", R"({"manifest":"x","seed":-1})",
+        R"({"manifest":"x","events":[{"seq":0,"at_ns":1.5}]})",
+        R"({"manifest":"x","metrics":{"metrics":[{"name":"h",)"
+        R"("kind":"histogram","buckets":[1e20]}]}})"}) {
+    const auto parsed = eo::RunManifest::from_json(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.error().code, ec::Errc::protocol_error) << text;
+  }
+  EXPECT_TRUE(eo::RunManifest::from_json(R"({"manifest":"x","seed":7})").ok());
+}
 
 TEST(FlightRecorder, DigestIsStableAcrossRingWrap) {
   SimTime now = 0;
