@@ -150,19 +150,24 @@ PathInfo Network::path(const Host& src, const Host& dst,
   PathInfo info;
   if (&src == &dst) {
     // Local copy: disk-to-disk on one host.
+    info.resources.reserve(2);
     if (include_disks) info.resources.push_back(src.disk_);
     info.resources.push_back(src.cpu_);
     info.latency = kLocalLatency;
     info.up = !src.down_;
     return info;
   }
+  const Route* route =
+      src.site_ == dst.site_ ? nullptr : route_between(src.site_, dst.site_);
+  // Both ends' cpu and nic, their disks if asked, and one hop per link.
+  info.resources.reserve((include_disks ? 6 : 4) +
+                         (route != nullptr ? route->links.size() : 0));
   if (include_disks) info.resources.push_back(src.disk_);
   info.resources.push_back(src.cpu_);
   info.resources.push_back(src.nic_);
-  if (src.site_ == dst.site_) {
+  if (route == nullptr) {
     info.latency = kLanLatency;
   } else {
-    const Route* route = route_between(src.site_, dst.site_);
     if (route->links.empty()) {
       info.up = false;  // unreachable
       return info;

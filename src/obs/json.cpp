@@ -1,7 +1,10 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
+#include <system_error>
 
 namespace esg::obs::json {
 
@@ -217,6 +220,15 @@ struct Parser {
     char* end = nullptr;
     const double d = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) return err("bad number");
+    // An integer lexeme that fits 64 bits also keeps its exact value.
+    const std::size_t sign = token[0] == '-' ? 1 : 0;
+    std::uint64_t magnitude = 0;
+    const char* last = token.data() + token.size();
+    const auto [stop, ec] =
+        std::from_chars(token.data() + sign, last, magnitude);
+    if (ec == std::errc() && stop == last) {
+      return Value(d, magnitude);
+    }
     return Value(d);
   }
 };

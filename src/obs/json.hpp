@@ -5,12 +5,15 @@
 // — manifest diffing, bench gating, offline postmortems — has to *read* it
 // back.  This is a deliberately small, dependency-free reader covering the
 // JSON subset our own exporters emit: objects, arrays, strings with the
-// escapes json_escape() produces, doubles, bools, null.  Object keys keep
+// escapes json_escape() produces, numbers, bools, null.  A number whose
+// lexeme is an integer keeps its exact value beside the double, so 64-bit
+// seeds and digests read back unchanged.  Object keys keep
 // insertion order (our writers emit deterministically sorted documents, and
 // keeping their order makes re-serialization byte-stable).
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
@@ -34,6 +37,10 @@ class Value {
   Value() = default;
   explicit Value(bool b) : type_(Type::boolean), bool_(b) {}
   explicit Value(double d) : type_(Type::number), number_(d) {}
+  /// A number written as an integer: `d` is its nearest double and
+  /// `magnitude` its exact absolute value (the sign is d's).
+  Value(double d, std::uint64_t magnitude)
+      : type_(Type::number), exact_(true), number_(d), magnitude_(magnitude) {}
   explicit Value(std::string s) : type_(Type::string), string_(std::move(s)) {}
   explicit Value(Array a)
       : type_(Type::array), array_(std::make_shared<Array>(std::move(a))) {}
@@ -69,10 +76,25 @@ class Value {
   /// has a fraction, or lies outside T's range yields 0 and clears `ok`, so
   /// a decoder reads every field and then fails once.  Decoders read
   /// integers only through this (or int_or): casting an out-of-range double
-  /// to an integer is undefined behaviour.
+  /// to an integer is undefined behaviour.  An integer lexeme is read
+  /// exactly; any other number through its double.
   template <typename T>
   T as_int(bool& ok) const {
     static_assert(std::is_integral_v<T>);
+    if (exact_) {
+      const auto max =
+          static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+      if (!std::signbit(number_) || magnitude_ == 0) {
+        if (magnitude_ <= max) return static_cast<T>(magnitude_);
+      } else if constexpr (std::is_signed_v<T>) {
+        // -(m - 1) - 1 reaches T's minimum without overflowing.
+        if (magnitude_ - 1 <= max) {
+          return static_cast<T>(-static_cast<T>(magnitude_ - 1) - 1);
+        }
+      }
+      ok = false;
+      return 0;
+    }
     // 2^digits is exact in a double; T's max may not be.
     const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
     const double low = std::is_signed_v<T> ? -limit : 0.0;
@@ -93,7 +115,9 @@ class Value {
  private:
   Type type_ = Type::null;
   bool bool_ = false;
+  bool exact_ = false;  // number_ came from an integer lexeme
   double number_ = 0.0;
+  std::uint64_t magnitude_ = 0;  // |integer| when exact_
   std::string string_;
   std::shared_ptr<Array> array_;
   std::shared_ptr<Object> object_;

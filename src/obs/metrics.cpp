@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <tuple>
 
 namespace esg::obs {
 
@@ -84,11 +85,16 @@ double histogram_quantile(const std::vector<double>& boundaries,
 }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(boundaries_.size() + 1);
+  std::vector<std::uint64_t> out;
+  load_bucket_counts(out);
+  return out;
+}
+
+void Histogram::load_bucket_counts(std::vector<std::uint64_t>& out) const {
+  out.resize(boundaries_.size() + 1);
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = buckets_[i].load(std::memory_order_relaxed);
   }
-  return out;
 }
 
 const SnapshotEntry* MetricsSnapshot::find(std::string_view name,
@@ -114,20 +120,33 @@ double MetricsSnapshot::family_total(std::string_view name) const {
   return total;
 }
 
+MetricsRegistry::MetricsRegistry()
+    : id_([] {
+        static std::atomic<std::uint64_t> next{1};
+        return next.fetch_add(1, std::memory_order_relaxed);
+      }()) {}
+
 Counter& MetricsRegistry::counter(std::string_view name, Labels labels) {
   Key key{std::string(name), normalize_labels(std::move(labels))};
   std::scoped_lock lock(mu_);
-  auto& slot = counters_[std::move(key)];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
+  auto [it, inserted] = counters_.try_emplace(std::move(key));
+  if (inserted) {
+    it->second = std::make_unique<Counter>();
+    handles_.push_back({MetricKind::counter, &it->first, it->second.get()});
+  }
+  return *it->second;
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name, Labels labels) {
   Key key{std::string(name), normalize_labels(std::move(labels))};
   std::scoped_lock lock(mu_);
-  auto& slot = gauges_[std::move(key)];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
+  auto [it, inserted] = gauges_.try_emplace(std::move(key));
+  if (inserted) {
+    it->second = std::make_unique<Gauge>();
+    handles_.push_back(
+        {MetricKind::gauge, &it->first, nullptr, it->second.get()});
+  }
+  return *it->second;
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name,
@@ -135,60 +154,63 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
                                       Labels labels) {
   Key key{std::string(name), normalize_labels(std::move(labels))};
   std::scoped_lock lock(mu_);
-  auto& slot = histograms_[std::move(key)];
-  if (!slot) slot = std::make_unique<Histogram>(std::move(boundaries));
-  return *slot;
+  auto [it, inserted] = histograms_.try_emplace(std::move(key));
+  if (inserted) {
+    it->second = std::make_unique<Histogram>(std::move(boundaries));
+    handles_.push_back({MetricKind::histogram, &it->first, nullptr, nullptr,
+                        it->second.get()});
+  }
+  return *it->second;
+}
+
+bool series_before(const SeriesHandle& a, const SeriesHandle& b) {
+  return std::tie(*a.key, a.kind) < std::tie(*b.key, b.kind);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot(common::SimTime at) const {
   MetricsSnapshot snap;
   snap.at = at;
   std::scoped_lock lock(mu_);
-  snap.entries.reserve(counters_.size() + gauges_.size() +
-                       histograms_.size());
-  // std::map iteration gives (name, labels) order within each kind; the
-  // final sort's (name, labels, kind) key is a total order over series, so
-  // exporter output — and every digest built on it — is byte-stable no
-  // matter how registration interleaved.
-  for (const auto& [key, c] : counters_) {
-    SnapshotEntry e;
-    e.kind = MetricKind::counter;
-    e.name = key.first;
-    e.labels = key.second;
-    e.value = static_cast<double>(c->value());
-    snap.entries.push_back(std::move(e));
+  // (name, labels, kind) is a total order over series, so exporter output
+  // — and every digest built on it — is byte-stable no matter how
+  // registration interleaved.
+  std::vector<SeriesHandle> order = handles_;
+  std::sort(order.begin(), order.end(), series_before);
+  snap.entries.reserve(order.size());
+  for (const SeriesHandle& h : order) {
+    SnapshotEntry& e = snap.entries.emplace_back();
+    e.kind = h.kind;
+    e.name = h.key->first;
+    e.labels = h.key->second;
+    switch (h.kind) {
+      case MetricKind::counter:
+        e.value = static_cast<double>(h.counter->value());
+        break;
+      case MetricKind::gauge:
+        e.value = h.gauge->value();
+        break;
+      case MetricKind::histogram:
+        e.boundaries = h.histogram->boundaries();
+        e.buckets = h.histogram->bucket_counts();
+        e.count = h.histogram->count();
+        e.sum = h.histogram->sum();
+        break;
+    }
   }
-  for (const auto& [key, g] : gauges_) {
-    SnapshotEntry e;
-    e.kind = MetricKind::gauge;
-    e.name = key.first;
-    e.labels = key.second;
-    e.value = g->value();
-    snap.entries.push_back(std::move(e));
-  }
-  for (const auto& [key, h] : histograms_) {
-    SnapshotEntry e;
-    e.kind = MetricKind::histogram;
-    e.name = key.first;
-    e.labels = key.second;
-    e.boundaries = h->boundaries();
-    e.buckets = h->bucket_counts();
-    e.count = h->count();
-    e.sum = h->sum();
-    snap.entries.push_back(std::move(e));
-  }
-  std::sort(snap.entries.begin(), snap.entries.end(),
-            [](const SnapshotEntry& a, const SnapshotEntry& b) {
-              if (a.name != b.name) return a.name < b.name;
-              if (a.labels != b.labels) return a.labels < b.labels;
-              return static_cast<int>(a.kind) < static_cast<int>(b.kind);
-            });
   return snap;
 }
 
 std::size_t MetricsRegistry::series_count() const {
   std::scoped_lock lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size();
+  return handles_.size();
+}
+
+std::vector<SeriesHandle> MetricsRegistry::series_since(
+    std::size_t first) const {
+  std::scoped_lock lock(mu_);
+  if (first >= handles_.size()) return {};
+  return {handles_.begin() + static_cast<std::ptrdiff_t>(first),
+          handles_.end()};
 }
 
 std::vector<double> duration_boundaries() {

@@ -19,7 +19,10 @@
 // `snapshot(at)` captures every series at a simulated instant into a
 // deterministic, sorted MetricsSnapshot that the exporters (obs/export.hpp)
 // turn into Prometheus text or JSON; same-seed runs produce bit-identical
-// snapshots.
+// snapshots.  Samplers that read every series on a clock (the telemetry
+// store) skip the snapshot: each series is also recorded once, at
+// registration, as a stable SeriesHandle they bind to and then read
+// directly.
 #pragma once
 
 #include <atomic>
@@ -93,6 +96,8 @@ class Histogram {
   double sum() const { return sum_.load(std::memory_order_relaxed); }
   /// Per-bucket counts, size boundaries().size() + 1 (last = overflow).
   std::vector<std::uint64_t> bucket_counts() const;
+  /// The same counts into `out`, reusing its storage.
+  void load_bucket_counts(std::vector<std::uint64_t>& out) const;
   /// Estimated p-quantile (see histogram_quantile below).
   double quantile(double p) const {
     return histogram_quantile(boundaries_, bucket_counts(), p);
@@ -139,9 +144,25 @@ struct MetricsSnapshot {
   double family_total(std::string_view name) const;
 };
 
+/// A series' identity: metric name plus its sorted labels.
+using SeriesKey = std::pair<std::string, Labels>;
+
+/// One registered series.  Every pointer stays valid for the registry's
+/// lifetime; exactly the instrument matching `kind` is set.
+struct SeriesHandle {
+  MetricKind kind = MetricKind::counter;
+  const SeriesKey* key = nullptr;
+  const Counter* counter = nullptr;
+  const Gauge* gauge = nullptr;
+  const Histogram* histogram = nullptr;
+};
+
+/// The snapshot's series order: by (name, labels, kind).
+bool series_before(const SeriesHandle& a, const SeriesHandle& b);
+
 class MetricsRegistry {
  public:
-  MetricsRegistry() = default;
+  MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -157,13 +178,22 @@ class MetricsRegistry {
   MetricsSnapshot snapshot(common::SimTime at) const;
   std::size_t series_count() const;
 
- private:
-  using Key = std::pair<std::string, Labels>;
+  /// Handles of the series registered after the first `first`, in
+  /// registration order.  Empty (and allocation-free) when none are new.
+  std::vector<SeriesHandle> series_since(std::size_t first) const;
+  /// Distinct for every registry the process creates, so a sampler can tell
+  /// a new registry from an old one that reused its address.
+  std::uint64_t id() const { return id_; }
 
+ private:
+  using Key = SeriesKey;
+
+  const std::uint64_t id_;
   mutable std::mutex mu_;
   std::map<Key, std::unique_ptr<Counter>> counters_;
   std::map<Key, std::unique_ptr<Gauge>> gauges_;
   std::map<Key, std::unique_ptr<Histogram>> histograms_;
+  std::vector<SeriesHandle> handles_;  // registration order
 };
 
 /// Conventional boundaries for simulated-seconds durations (tape waits,

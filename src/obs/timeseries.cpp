@@ -21,37 +21,42 @@ bool labels_contain(const Labels& labels, const Labels& subset) {
 
 // ---- rings ----
 
-void TimeSeries::RawRing::push(SeriesPoint p) {
+template <typename T>
+void TimeSeries::Ring<T>::push(const T& p) {
+  if (slots.size() < cap) {
+    if (slots.size() == slots.capacity()) {
+      slots.reserve(
+          std::min(cap, std::max<std::size_t>(16, 2 * slots.size())));
+    }
+    slots.push_back(p);
+    return;
+  }
   slots[head] = p;
-  head = (head + 1) % slots.size();
-  if (size < slots.size()) ++size;
+  head = (head + 1) % cap;
 }
 
-const SeriesPoint& TimeSeries::RawRing::at(std::size_t i) const {
-  assert(i < size);
-  const std::size_t oldest = (head + slots.size() - size) % slots.size();
-  return slots[(oldest + i) % slots.size()];
+template <typename T>
+const T& TimeSeries::Ring<T>::at(std::size_t i) const {
+  assert(i < slots.size());
+  return slots[(head + i) % slots.size()];
 }
 
-void TimeSeries::RollupRing::push(RollupPoint p) {
-  slots[head] = p;
-  head = (head + 1) % slots.size();
-  if (size < slots.size()) ++size;
-}
-
-const RollupPoint& TimeSeries::RollupRing::at(std::size_t i) const {
-  assert(i < size);
-  const std::size_t oldest = (head + slots.size() - size) % slots.size();
-  return slots[(oldest + i) % slots.size()];
+template <typename T>
+std::vector<T> TimeSeries::Ring<T>::ordered() const {
+  std::vector<T> out(slots.begin() + static_cast<std::ptrdiff_t>(head),
+                     slots.end());
+  out.insert(out.end(), slots.begin(),
+             slots.begin() + static_cast<std::ptrdiff_t>(head));
+  return out;
 }
 
 // ---- series ----
 
 TimeSeries::TimeSeries(const TimeSeriesConfig& cfg)
     : fine_width_(cfg.fine_width), coarse_width_(cfg.coarse_width) {
-  raw_.slots.resize(std::max<std::size_t>(1, cfg.raw_capacity));
-  fine_.slots.resize(std::max<std::size_t>(1, cfg.fine_capacity));
-  coarse_.slots.resize(std::max<std::size_t>(1, cfg.coarse_capacity));
+  raw_.cap = std::max<std::size_t>(1, cfg.raw_capacity);
+  fine_.cap = std::max<std::size_t>(1, cfg.fine_capacity);
+  coarse_.cap = std::max<std::size_t>(1, cfg.coarse_capacity);
 }
 
 void TimeSeries::roll(OpenBucket& bucket, RollupRing& ring,
@@ -86,31 +91,16 @@ void TimeSeries::append(common::SimTime at, double value) {
   roll(open_coarse_, coarse_, coarse_width_, at, value);
 }
 
-std::vector<SeriesPoint> TimeSeries::raw() const {
-  std::vector<SeriesPoint> out;
-  out.reserve(raw_.size);
-  for (std::size_t i = 0; i < raw_.size; ++i) out.push_back(raw_.at(i));
-  return out;
-}
-
-std::vector<RollupPoint> TimeSeries::fine() const {
-  std::vector<RollupPoint> out;
-  out.reserve(fine_.size);
-  for (std::size_t i = 0; i < fine_.size; ++i) out.push_back(fine_.at(i));
-  return out;
-}
-
+std::vector<SeriesPoint> TimeSeries::raw() const { return raw_.ordered(); }
+std::vector<RollupPoint> TimeSeries::fine() const { return fine_.ordered(); }
 std::vector<RollupPoint> TimeSeries::coarse() const {
-  std::vector<RollupPoint> out;
-  out.reserve(coarse_.size);
-  for (std::size_t i = 0; i < coarse_.size; ++i) out.push_back(coarse_.at(i));
-  return out;
+  return coarse_.ordered();
 }
 
 bool TimeSeries::value_at(common::SimTime t, double* out) const {
   // Raw ring first: binary search over the monotone retained window.
-  if (raw_.size > 0 && raw_.at(0).at <= t) {
-    std::size_t lo = 0, hi = raw_.size;  // first index with at > t
+  if (raw_.size() > 0 && raw_.at(0).at <= t) {
+    std::size_t lo = 0, hi = raw_.size();  // first index with at > t
     while (lo < hi) {
       const std::size_t mid = lo + (hi - lo) / 2;
       if (raw_.at(mid).at <= t) {
@@ -127,7 +117,7 @@ bool TimeSeries::value_at(common::SimTime t, double* out) const {
   // value at its first retained sample — the best available stand-in.
   auto from_ring = [t, out](const RollupRing& ring,
                             common::SimDuration width) {
-    for (std::size_t i = ring.size; i-- > 0;) {
+    for (std::size_t i = ring.size(); i-- > 0;) {
       const RollupPoint& p = ring.at(i);
       if (p.start <= t) {
         *out = (t < p.start + width) ? p.min : p.max;
@@ -147,11 +137,11 @@ double TimeSeries::delta(common::SimTime from, common::SimTime to) const {
   if (!value_at(from, &v_from)) {
     // Window opens before anything retained: count from the oldest known
     // value (the series may have started mid-window).
-    if (coarse_.size > 0) {
+    if (coarse_.size() > 0) {
       v_from = coarse_.at(0).min;
-    } else if (fine_.size > 0) {
+    } else if (fine_.size() > 0) {
       v_from = fine_.at(0).min;
-    } else if (raw_.size > 0) {
+    } else if (raw_.size() > 0) {
       v_from = raw_.at(0).value;
     } else {
       return 0.0;
@@ -177,21 +167,21 @@ WindowStats TimeSeries::stats(common::SimTime from, common::SimTime to) const {
   // Raw samples cover the newest span; rollup buckets answer for the part
   // of the window older than the oldest retained raw sample.
   const common::SimTime raw_begin =
-      raw_.size > 0 ? raw_.at(0).at : to + 1;
-  for (std::size_t i = 0; i < raw_.size; ++i) {
+      raw_.size() > 0 ? raw_.at(0).at : to + 1;
+  for (std::size_t i = 0; i < raw_.size(); ++i) {
     const SeriesPoint& p = raw_.at(i);
     if (p.at <= from || p.at > to) continue;
     fold(p.value, p.value, p.value, 1);
   }
-  for (std::size_t i = 0; i < fine_.size; ++i) {
+  for (std::size_t i = 0; i < fine_.size(); ++i) {
     const RollupPoint& p = fine_.at(i);
     if (p.start + fine_width_ <= from || p.start > to) continue;
     if (p.start + fine_width_ > raw_begin) continue;  // raw already counted
     fold(p.min, p.max, p.sum, p.count);
   }
   const common::SimTime fine_begin =
-      fine_.size > 0 ? fine_.at(0).start : raw_begin;
-  for (std::size_t i = 0; i < coarse_.size; ++i) {
+      fine_.size() > 0 ? fine_.at(0).start : raw_begin;
+  for (std::size_t i = 0; i < coarse_.size(); ++i) {
     const RollupPoint& p = coarse_.at(i);
     if (p.start + coarse_width_ <= from || p.start > to) continue;
     if (p.start + coarse_width_ > std::min(raw_begin, fine_begin)) continue;
@@ -220,22 +210,70 @@ const TimeSeries* TimeSeriesStore::find(std::string_view name,
 
 void TimeSeriesStore::append(std::string_view name, Labels labels,
                              common::SimTime at, double value) {
-  series(name, std::move(labels)).append(at, value);
+  record(series(name, std::move(labels)), at, value);
+}
+
+void TimeSeriesStore::record(TimeSeries& s, common::SimTime at,
+                             double value) {
+  s.append(at, value);
   ++samples_total_;
   last_sample_at_ = at;
 }
 
+void TimeSeriesStore::bind_new_series(const MetricsRegistry& registry) {
+  if (registry.id() != bound_registry_) {
+    bound_registry_ = registry.id();
+    bound_count_ = 0;
+    bindings_.clear();
+  }
+  // The snapshot's (name, labels, kind) order: where two registry series
+  // feed one store series (a counter and a gauge sharing a key, or counter
+  // `x:count` beside histogram `x`), their same-instant samples land in
+  // the order a snapshot walk would append them.
+  const auto before = [](const Binding& a, const Binding& b) {
+    return series_before(a.handle, b.handle);
+  };
+  for (const SeriesHandle& h : registry.series_since(bound_count_)) {
+    ++bound_count_;
+    Binding b;
+    b.handle = h;
+    const auto& [name, labels] = *h.key;
+    if (h.kind == MetricKind::histogram) {
+      b.series[0] = &series(name + ":count", labels);
+      b.series[1] = &series(name + ":sum", labels);
+      b.series[2] = &series(name + ":p50", labels);
+      b.series[3] = &series(name + ":p99", labels);
+    } else {
+      b.series[0] = &series(name, labels);
+    }
+    bindings_.insert(
+        std::upper_bound(bindings_.begin(), bindings_.end(), b, before), b);
+  }
+}
+
 void TimeSeriesStore::sample_registry(const MetricsRegistry& registry,
                                       common::SimTime at) {
-  const MetricsSnapshot snap = registry.snapshot(at);
-  for (const auto& e : snap.entries) {
-    if (e.kind == MetricKind::histogram) {
-      append(e.name + ":count", e.labels, at, static_cast<double>(e.count));
-      append(e.name + ":sum", e.labels, at, e.sum);
-      append(e.name + ":p50", e.labels, at, e.quantile(0.50));
-      append(e.name + ":p99", e.labels, at, e.quantile(0.99));
-    } else {
-      append(e.name, e.labels, at, e.value);
+  bind_new_series(registry);
+  for (const Binding& b : bindings_) {
+    switch (b.handle.kind) {
+      case MetricKind::counter:
+        record(*b.series[0], at,
+               static_cast<double>(b.handle.counter->value()));
+        break;
+      case MetricKind::gauge:
+        record(*b.series[0], at, b.handle.gauge->value());
+        break;
+      case MetricKind::histogram: {
+        const Histogram& h = *b.handle.histogram;
+        h.load_bucket_counts(buckets_);
+        record(*b.series[0], at, static_cast<double>(h.count()));
+        record(*b.series[1], at, h.sum());
+        record(*b.series[2], at,
+               histogram_quantile(h.boundaries(), buckets_, 0.50));
+        record(*b.series[3], at,
+               histogram_quantile(h.boundaries(), buckets_, 0.99));
+        break;
+      }
     }
   }
 }

@@ -1,4 +1,4 @@
-// Streaming telemetry: a fixed-memory, in-sim time-series store.
+// Streaming telemetry: a bounded-memory, in-sim time-series store.
 //
 // The metrics registry holds *current* values; every consumer so far — the
 // SLO watchdog, the bench gate, postmortems — reads it after the run ends.
@@ -9,25 +9,34 @@
 //
 // The TimeSeriesStore keeps that history with strictly bounded memory.  A
 // series is (name, labels), the same identity the registry uses.  Each
-// series owns three fixed-capacity rings:
+// series owns three capped rings:
 //
 //   * raw      — every sample as (sim-time, value);
 //   * fine     — rollups of min/max/sum/count per 10 s bucket (default);
 //   * coarse   — the same per 60 s bucket.
 //
-// Rings overwrite oldest-first, so a series costs the same whether it holds
-// ten samples or ten million (verified by a 1M-sample test).  Queries that
-// reach past the raw window fall back to the rollups, so windowed deltas
-// and stats stay answerable for the whole retained horizon.
+// A ring starts empty and grows on demand (doubling, from 16 slots) up to
+// its configured capacity; from then on it overwrites oldest-first.  So a
+// short-lived series pays only for what it holds, and a long-lived one is
+// bounded by the caps however many samples it takes (verified by a
+// 1M-sample test).  Queries that reach past the raw window fall back to the
+// rollups, so windowed deltas and stats stay answerable for the whole
+// retained horizon.
 //
-// Feeding the store is one call — `sample_registry(registry, now)` snapshots
-// every instrumented subsystem (rm, gridftp, net, hrm, campaign, chaos) into
-// series with zero call-site changes; histograms additionally emit derived
-// `<name>:p50` / `<name>:p99` / `<name>:count` / `<name>:sum` series so
-// quantiles become plottable over time.  sim::Simulation schedules that
-// call on the simulated clock (start_telemetry), which makes every sample —
-// and every alert computed from them (obs/alert.hpp) — byte-deterministic
-// across same-seed runs.
+// Feeding the store is one call — `sample_registry(registry, now)` appends
+// one sample per registry series from every instrumented subsystem (rm,
+// gridftp, net, hrm, campaign, chaos) with zero call-site changes;
+// histograms additionally emit derived `<name>:count` / `<name>:sum` /
+// `<name>:p50` / `<name>:p99` series so quantiles become plottable over
+// time.  The sampler binds once: the first tick that sees a registry series
+// resolves its store series (four for a histogram) and keeps the pointers,
+// in the registry snapshot's (name, labels, kind) order.  Every later tick
+// is a linear walk over those bindings that reads the instruments directly
+// — no snapshot, no string building, no lookup, and no allocation once the
+// rings have reached their caps.
+// sim::Simulation schedules that call on the simulated clock
+// (start_telemetry), which makes every sample — and every alert computed
+// from them (obs/alert.hpp) — byte-deterministic across same-seed runs.
 #pragma once
 
 #include <cstdint>
@@ -71,8 +80,9 @@ struct WindowStats {
   }
 };
 
-/// Ring capacities and rollup widths; defaults retain ~10 min of raw
-/// 1 s samples, ~1 h of 10 s rollups and ~4 h of 60 s rollups per series.
+/// Ring capacities (caps on lazily grown rings) and rollup widths;
+/// defaults retain ~10 min of raw 1 s samples, ~1 h of 10 s rollups and
+/// ~4 h of 60 s rollups per series.
 struct TimeSeriesConfig {
   std::size_t raw_capacity = 600;
   std::size_t fine_capacity = 360;
@@ -96,9 +106,13 @@ class TimeSeries {
   std::vector<RollupPoint> coarse() const;
 
   std::uint64_t samples() const { return samples_; }
-  std::size_t raw_size() const { return raw_.size; }
-  std::size_t fine_size() const { return fine_.size; }
-  std::size_t coarse_size() const { return coarse_.size; }
+  std::size_t raw_size() const { return raw_.size(); }
+  std::size_t fine_size() const { return fine_.size(); }
+  std::size_t coarse_size() const { return coarse_.size(); }
+  /// Slots each ring has allocated; never more than its configured cap.
+  std::size_t raw_slots() const { return raw_.slots.capacity(); }
+  std::size_t fine_slots() const { return fine_.slots.capacity(); }
+  std::size_t coarse_slots() const { return coarse_.slots.capacity(); }
 
   /// Whole-life aggregates (never evicted).
   double life_min() const { return life_min_; }
@@ -120,20 +134,19 @@ class TimeSeries {
   WindowStats stats(common::SimTime from, common::SimTime to) const;
 
  private:
-  struct RawRing {
-    std::vector<SeriesPoint> slots;
-    std::size_t head = 0;  // next write position
-    std::size_t size = 0;
-    void push(SeriesPoint p);
-    const SeriesPoint& at(std::size_t i) const;  // i=0 oldest
+  /// Grows to `cap` slots, then overwrites oldest-first.
+  template <typename T>
+  struct Ring {
+    std::vector<T> slots;
+    std::size_t cap = 1;
+    std::size_t head = 0;  // oldest slot (and next write) once full
+    std::size_t size() const { return slots.size(); }
+    void push(const T& p);
+    const T& at(std::size_t i) const;  // i=0 oldest
+    std::vector<T> ordered() const;    // oldest first
   };
-  struct RollupRing {
-    std::vector<RollupPoint> slots;
-    std::size_t head = 0;
-    std::size_t size = 0;
-    void push(RollupPoint p);
-    const RollupPoint& at(std::size_t i) const;
-  };
+  using RawRing = Ring<SeriesPoint>;
+  using RollupRing = Ring<RollupPoint>;
   struct OpenBucket {
     common::SimTime start = -1;
     RollupPoint agg;
@@ -171,10 +184,13 @@ class TimeSeriesStore {
   void append(std::string_view name, Labels labels, common::SimTime at,
               double value);
 
-  /// The sampling hook: snapshot `registry` and append one sample per
-  /// series.  Counters and gauges sample their value; histograms sample
-  /// derived `<name>:count`, `<name>:sum`, `<name>:p50` and `<name>:p99`
-  /// series.  Instrumented code needs no changes to start emitting history.
+  /// The sampling hook: append one sample per `registry` series, in the
+  /// order of registry.snapshot().  Counters and gauges sample their value;
+  /// histograms sample derived `<name>:count`, `<name>:sum`, `<name>:p50`
+  /// and `<name>:p99` series.  Instrumented code needs no changes to start
+  /// emitting history.  Series are bound on the first tick that sees them;
+  /// a steady-state tick allocates nothing.  Sampling a different registry
+  /// than the last one rebinds from scratch.
   void sample_registry(const MetricsRegistry& registry, common::SimTime at);
 
   /// Sum of delta(from, to] over every series whose name is `name` and
@@ -197,12 +213,27 @@ class TimeSeriesStore {
   common::SimTime last_sample_at() const { return last_sample_at_; }
 
  private:
-  using Key = std::pair<std::string, Labels>;
+  using Key = SeriesKey;
+
+  /// A registry series bound to its store series: one for a counter or
+  /// gauge; `:count`, `:sum`, `:p50`, `:p99` for a histogram.
+  struct Binding {
+    SeriesHandle handle;
+    TimeSeries* series[4] = {};
+  };
+
+  void record(TimeSeries& s, common::SimTime at, double value);
+  void bind_new_series(const MetricsRegistry& registry);
 
   TimeSeriesConfig cfg_;
   std::map<Key, std::unique_ptr<TimeSeries>> series_;
   std::uint64_t samples_total_ = 0;
   common::SimTime last_sample_at_ = 0;
+
+  std::uint64_t bound_registry_ = 0;   // MetricsRegistry::id(), 0 = none
+  std::size_t bound_count_ = 0;        // registry handles already bound
+  std::vector<Binding> bindings_;      // sorted by (name, labels, kind)
+  std::vector<std::uint64_t> buckets_;  // reused histogram bucket buffer
 };
 
 /// True when every (k, v) in `subset` appears in (sorted) `labels`.

@@ -1,7 +1,9 @@
-// Streaming-telemetry tests (ctest label "telemetry"): the fixed-memory
-// TimeSeriesStore (ring bounds under 1M samples, rollup math, windowed
-// queries past the raw horizon), the sampling hook over the metrics
-// registry, the online AlertEngine (burn-rate multi-window rules, EWMA +
+// Streaming-telemetry tests (ctest label "telemetry"): the bounded-memory
+// TimeSeriesStore (ring caps under 1M samples, rollup math, windowed
+// queries past the raw horizon), the bind-once sampling hook over the
+// metrics registry (equivalence with a snapshot walk, no allocation in a
+// steady-state tick — counted by an operator new hook), the online
+// AlertEngine (burn-rate multi-window rules, EWMA +
 // CUSUM anomaly detection, flight events), root-cause correlation of
 // firings against injected faults (cause_of), manifest serialization of alert/series
 // timelines (byte-deterministic round-trip, drift detection), flight-ring
@@ -9,18 +11,24 @@
 // scheduled on the simulated clock.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/alert.hpp"
 #include "obs/cause.hpp"
+#include "obs/json.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/simulation.hpp"
+
+// Heap allocations made so far by this binary (alloc_hook.cpp).
+std::uint64_t heap_allocations();
 
 namespace eo = esg::obs;
 namespace ec = esg::common;
@@ -45,6 +53,17 @@ TEST(TimeSeries, MemoryIsBoundedUnderAMillionSamples) {
   EXPECT_LE(s.coarse_size(), cfg.coarse_capacity);
   EXPECT_EQ(s.fine_size(), cfg.fine_capacity);    // long past full
   EXPECT_EQ(s.coarse_size(), cfg.coarse_capacity);
+  // Rings grow on demand but never allocate past their caps.
+  EXPECT_LE(s.raw_slots(), cfg.raw_capacity);
+  EXPECT_LE(s.fine_slots(), cfg.fine_capacity);
+  EXPECT_LE(s.coarse_slots(), cfg.coarse_capacity);
+  // A short-lived series pays only for what it holds.
+  eo::TimeSeries& brief = store.series("brief_total");
+  EXPECT_EQ(brief.raw_slots() + brief.fine_slots() + brief.coarse_slots(), 0u);
+  brief.append(0, 1.0);
+  brief.append(kSecond, 2.0);
+  EXPECT_EQ(brief.raw_slots(), 16u);
+  EXPECT_EQ(brief.fine_slots() + brief.coarse_slots(), 0u);
   // Life aggregates never evict.
   EXPECT_DOUBLE_EQ(s.life_min(), 0.0);
   EXPECT_DOUBLE_EQ(s.life_max(), 999'999.0);
@@ -164,6 +183,147 @@ TEST(TimeSeriesStore, SampleRegistryEmitsSeriesWithDerivedQuantiles) {
   ASSERT_TRUE(p50->value_at(5 * kSecond, &v));
   EXPECT_DOUBLE_EQ(v, h.quantile(0.50));
   ASSERT_NE(store.find("wait_seconds:p99"), nullptr);
+}
+
+namespace {
+
+/// The snapshot-walk sampler: what sample_registry must be equivalent to.
+void sample_snapshot(eo::TimeSeriesStore& store,
+                     const eo::MetricsRegistry& reg, SimTime at) {
+  for (const auto& e : reg.snapshot(at).entries) {
+    if (e.kind == eo::MetricKind::histogram) {
+      store.append(e.name + ":count", e.labels, at,
+                   static_cast<double>(e.count));
+      store.append(e.name + ":sum", e.labels, at, e.sum);
+      store.append(e.name + ":p50", e.labels, at, e.quantile(0.50));
+      store.append(e.name + ":p99", e.labels, at, e.quantile(0.99));
+    } else {
+      store.append(e.name, e.labels, at, e.value);
+    }
+  }
+}
+
+void expect_same_rollups(const std::vector<eo::RollupPoint>& a,
+                         const std::vector<eo::RollupPoint>& b,
+                         const std::string& where) {
+  ASSERT_EQ(a.size(), b.size()) << where;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].start, b[i].start) << where << " #" << i;
+    EXPECT_EQ(a[i].min, b[i].min) << where << " #" << i;
+    EXPECT_EQ(a[i].max, b[i].max) << where << " #" << i;
+    EXPECT_EQ(a[i].sum, b[i].sum) << where << " #" << i;
+    EXPECT_EQ(a[i].count, b[i].count) << where << " #" << i;
+  }
+}
+
+void expect_same_store(const eo::TimeSeriesStore& got,
+                       const eo::TimeSeriesStore& want) {
+  ASSERT_EQ(got.series_count(), want.series_count());
+  EXPECT_EQ(got.samples_total(), want.samples_total());
+  EXPECT_EQ(got.last_sample_at(), want.last_sample_at());
+  want.for_each([&](const std::string& name, const eo::Labels& labels,
+                    const eo::TimeSeries& w) {
+    const eo::TimeSeries* g = got.find(name, labels);
+    ASSERT_NE(g, nullptr) << name;
+    EXPECT_EQ(g->samples(), w.samples()) << name;
+    EXPECT_EQ(g->life_min(), w.life_min()) << name;
+    EXPECT_EQ(g->life_max(), w.life_max()) << name;
+    EXPECT_EQ(g->life_sum(), w.life_sum()) << name;
+    const auto graw = g->raw();
+    const auto wraw = w.raw();
+    ASSERT_EQ(graw.size(), wraw.size()) << name;
+    for (std::size_t i = 0; i < wraw.size(); ++i) {
+      EXPECT_EQ(graw[i].at, wraw[i].at) << name << " #" << i;
+      EXPECT_EQ(graw[i].value, wraw[i].value) << name << " #" << i;
+    }
+    expect_same_rollups(g->fine(), w.fine(), name + " fine");
+    expect_same_rollups(g->coarse(), w.coarse(), name + " coarse");
+  });
+}
+
+}  // namespace
+
+TEST(TimeSeriesStore, BoundSamplerMatchesTheSnapshotWalk) {
+  eo::TimeSeriesConfig cfg;
+  cfg.raw_capacity = 20;  // small rings wrap within the run
+  cfg.fine_capacity = 6;
+  cfg.coarse_capacity = 3;
+  eo::TimeSeriesStore bound(cfg);
+  eo::TimeSeriesStore reference(cfg);
+  eo::MetricsRegistry reg;
+  eo::Counter* dup_counter = nullptr;
+  eo::Gauge* dup_gauge = nullptr;
+  eo::Histogram* dup_hist = nullptr;
+  eo::Histogram* h = nullptr;
+  eo::Counter* h_count = nullptr;
+  for (int t = 0; t < 400; ++t) {
+    const SimTime at = static_cast<SimTime>(t) * kSecond;
+    // Series arrive between ticks, out of sorted order.  "dup" is a
+    // counter, a gauge and a histogram under one (name, labels) — counter
+    // and gauge feed the same store series — and counter "h:count" feeds
+    // the same store series as histogram h's derived count.
+    if (t == 3) reg.counter("zeta_total", {{"site", "b"}}).add(2);
+    if (t == 7) {
+      dup_gauge = &reg.gauge("dup", {{"k", "v"}});
+      dup_counter = &reg.counter("dup", {{"k", "v"}});
+      dup_hist = &reg.histogram("dup", {1.0, 4.0}, {{"k", "v"}});
+    }
+    if (t == 11) {
+      h_count = &reg.counter("h:count");
+      h = &reg.histogram("h", eo::duration_boundaries());
+      reg.gauge("alpha").set(-1.0);
+    }
+    if (t == 150) reg.counter("zeta_total", {{"site", "a"}}).add(1);
+    if (dup_counter != nullptr) {
+      dup_counter->add(static_cast<std::uint64_t>(t % 3));
+      dup_gauge->set(static_cast<double>(t % 17) * 0.5);
+      dup_hist->observe(static_cast<double>(t % 5));
+    }
+    if (h != nullptr) {
+      h->observe(static_cast<double>((t * 37) % 400));
+      h_count->add(5);
+    }
+    bound.sample_registry(reg, at);
+    sample_snapshot(reference, reg, at);
+  }
+  expect_same_store(bound, reference);
+
+  // Another registry replaces the bindings rather than adding to them.
+  eo::MetricsRegistry other;
+  other.counter("zeta_total", {{"site", "b"}}).add(40);
+  for (int t = 400; t < 420; ++t) {
+    const SimTime at = static_cast<SimTime>(t) * kSecond;
+    bound.sample_registry(other, at);
+    sample_snapshot(reference, other, at);
+  }
+  expect_same_store(bound, reference);
+}
+
+TEST(TimeSeriesStore, SamplingTicksStopAllocatingOnceRingsAreFull) {
+  eo::TimeSeriesConfig cfg;
+  cfg.raw_capacity = 8;
+  cfg.fine_capacity = 4;
+  cfg.coarse_capacity = 2;
+  eo::TimeSeriesStore store(cfg);
+  eo::MetricsRegistry reg;
+  eo::Counter& c = reg.counter("bytes_total", {{"server", "a"}});
+  eo::Gauge& g = reg.gauge("queue_depth");
+  eo::Histogram& h = reg.histogram("wait_seconds", eo::duration_boundaries());
+  int t = 0;
+  auto tick = [&] {
+    c.add(3);
+    g.set(static_cast<double>(t % 9));
+    h.observe(static_cast<double>(t % 50));
+    store.sample_registry(reg, static_cast<SimTime>(t) * kSecond);
+    ++t;
+  };
+  // Warm-up binds every series and fills every ring, the coarse one last
+  // (its third 60 s bucket closes at 180 s).
+  while (t < 300) tick();
+  const std::uint64_t before = heap_allocations();
+  while (t < 1300) tick();
+  EXPECT_EQ(heap_allocations() - before, 0u);
+  EXPECT_EQ(store.samples_total(), 1300u * 6u);
 }
 
 TEST(TimeSeriesStore, FamilyQueriesSelectByLabelSubset) {
@@ -514,6 +674,47 @@ TEST(Manifest, RejectsIntegerFieldsThatAreNotInRangeIntegers) {
     EXPECT_EQ(parsed.error().code, ec::Errc::protocol_error) << text;
   }
   EXPECT_TRUE(eo::RunManifest::from_json(R"({"manifest":"x","seed":7})").ok());
+}
+
+TEST(Manifest, SeedsPastTwoToThe53RoundTripExactly) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{9007199254740993u}, std::uint64_t{18446744073709551615u}}) {
+    eo::RunManifest m;
+    m.name = "x";
+    m.seed = seed;
+    const std::string json = m.to_json();
+    const auto parsed = eo::RunManifest::from_json(json);
+    ASSERT_TRUE(parsed.ok()) << seed;
+    EXPECT_EQ(parsed.value().seed, seed);
+    EXPECT_EQ(parsed.value().to_json(), json);
+  }
+}
+
+TEST(Json, IntegerLexemesReadExactlyAndRangeCheck) {
+  auto read = [](const char* text, auto zero) {
+    bool ok = true;
+    const auto v = eo::json::parse(text);
+    EXPECT_TRUE(v.ok()) << text;
+    const auto out = v.value().as_int<decltype(zero)>(ok);
+    return std::make_pair(out, ok);
+  };
+  EXPECT_EQ(read("18446744073709551615", std::uint64_t{}),
+            std::make_pair(std::uint64_t{18446744073709551615u}, true));
+  EXPECT_EQ(read("-9223372036854775808", std::int64_t{}),
+            std::make_pair(std::numeric_limits<std::int64_t>::min(), true));
+  EXPECT_EQ(read("9007199254740993", std::int64_t{}),
+            std::make_pair(std::int64_t{9007199254740993}, true));
+  EXPECT_EQ(read("-0", std::uint64_t{}), std::make_pair(std::uint64_t{0}, true));
+  EXPECT_EQ(read("2.0", std::int32_t{}), std::make_pair(std::int32_t{2}, true));
+  // Out of range, negative-for-unsigned, or past 64 bits: rejected.
+  EXPECT_FALSE(read("18446744073709551616", std::uint64_t{}).second);
+  EXPECT_FALSE(read("9223372036854775808", std::int64_t{}).second);
+  EXPECT_FALSE(read("-9223372036854775809", std::int64_t{}).second);
+  EXPECT_FALSE(read("-1", std::uint64_t{}).second);
+  EXPECT_FALSE(read("4294967296", std::uint32_t{}).second);
+  EXPECT_FALSE(read("-2147483649", std::int32_t{}).second);
+  EXPECT_EQ(read("-2147483648", std::int32_t{}),
+            std::make_pair(std::numeric_limits<std::int32_t>::min(), true));
 }
 
 TEST(FlightRecorder, DigestIsStableAcrossRingWrap) {
