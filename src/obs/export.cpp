@@ -107,6 +107,14 @@ std::string to_chrome_trace(const Tracer& tracer) {
     first = false;
     out += "\n" + event;
   };
+  auto name_and_category = [&tracer](const SpanRow& row) {
+    std::string ev =
+        "{\"name\":\"" + json_escape(tracer.symbol(row.name)) + "\"";
+    if (row.category != 0) {
+      ev += ",\"cat\":\"" + json_escape(tracer.symbol(row.category)) + "\"";
+    }
+    return ev;
+  };
 
   for (const auto& [track, name] : tracer.tracks()) {
     emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
@@ -114,39 +122,37 @@ std::string to_chrome_trace(const Tracer& tracer) {
          json_escape(name) + "\"}}");
   }
 
-  for (const auto& rec : tracer.closed_spans()) {
-    std::string ev = "{\"name\":\"" + json_escape(rec.name) + "\"";
-    if (!rec.category.empty()) {
-      ev += ",\"cat\":\"" + json_escape(rec.category) + "\"";
-    }
-    ev += ",\"ph\":\"X\",\"ts\":" + fmt_micros(rec.start) +
-          ",\"dur\":" + fmt_micros(rec.end - rec.start) +
-          ",\"pid\":1,\"tid\":" + std::to_string(rec.track);
-    ev += ",\"args\":{\"span_id\":" + std::to_string(rec.id) +
-          ",\"parent_id\":" + std::to_string(rec.parent);
-    if (rec.clamped) ev += ",\"clamped\":\"true\"";
-    for (const auto& [k, v] : rec.attrs) {
+  const common::SimTime at = tracer.now();
+  const auto& rows = tracer.span_rows();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const SpanRow& row = rows[i];
+    std::string ev = name_and_category(row);
+    ev += ",\"ph\":\"X\",\"ts\":" + fmt_micros(row.start) +
+          ",\"dur\":" + fmt_micros(row.end_at(at) - row.start) +
+          ",\"pid\":1,\"tid\":" + std::to_string(row.track);
+    ev += ",\"args\":{\"span_id\":" + std::to_string(i + 1) +
+          ",\"parent_id\":" + std::to_string(row.parent);
+    if (row.open()) ev += ",\"clamped\":\"true\"";
+    tracer.for_each_attr(row, [&ev](std::string_view k, std::string_view v) {
       ev += ",\"" + json_escape(k) + "\":\"" + json_escape(v) + "\"";
-    }
+    });
     ev += "}}";
     emit(ev);
   }
 
-  for (const auto& rec : tracer.instants()) {
-    std::string ev = "{\"name\":\"" + json_escape(rec.name) + "\"";
-    if (!rec.category.empty()) {
-      ev += ",\"cat\":\"" + json_escape(rec.category) + "\"";
-    }
-    ev += ",\"ph\":\"i\",\"s\":\"t\",\"ts\":" + fmt_micros(rec.at) +
-          ",\"pid\":1,\"tid\":" + std::to_string(rec.track);
-    if (!rec.attrs.empty()) {
+  for (const SpanRow& row : tracer.instant_rows()) {
+    std::string ev = name_and_category(row);
+    ev += ",\"ph\":\"i\",\"s\":\"t\",\"ts\":" + fmt_micros(row.start) +
+          ",\"pid\":1,\"tid\":" + std::to_string(row.track);
+    if (row.first_attr != 0) {
       ev += ",\"args\":{";
       bool first_attr = true;
-      for (const auto& [k, v] : rec.attrs) {
-        if (!first_attr) ev += ",";
-        first_attr = false;
-        ev += "\"" + json_escape(k) + "\":\"" + json_escape(v) + "\"";
-      }
+      tracer.for_each_attr(
+          row, [&ev, &first_attr](std::string_view k, std::string_view v) {
+            if (!first_attr) ev += ",";
+            first_attr = false;
+            ev += "\"" + json_escape(k) + "\":\"" + json_escape(v) + "\"";
+          });
       ev += "}";
     }
     ev += "}";

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <map>
-#include <unordered_map>
 
 namespace esg::obs {
 
@@ -17,13 +17,6 @@ const char* kCategoryNames[kProfileCategories] = {
     "queue-wait", "breaker-wait", "backoff", "stage",
     "network",    "checksum",     "overhead",
 };
-
-std::string_view span_attr(const SpanRecord& rec, std::string_view key) {
-  for (const auto& [k, v] : rec.attrs) {
-    if (k == key) return v;
-  }
-  return {};
-}
 
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
@@ -90,13 +83,37 @@ SimDuration backoff_ns_of(const FlightEvent& e) {
   return 0;
 }
 
-struct RootContext {
-  const SpanRecord* root = nullptr;
-  std::vector<const SpanRecord*> descendants;  // same track, under root
-  std::vector<Window> backoff;                 // retry/stage-retry sleeps
-  std::vector<std::string> hosts;              // candidate replica hosts
-  SimTime first_child_start = 0;               // = root end if no children
+/// A descendant of a root span, read once from its row: the interval
+/// (open spans clamped to the capture time) and its depth below the root.
+struct Node {
+  SpanId id = 0;
+  SimTime start = 0;
+  SimTime end = 0;
+  Symbol name = 0;
+  int depth = 0;
 };
+
+/// What a span name decides, computed once per symbol.
+struct NameFacts {
+  bool decides = false;  // span_decides(): `category` is the interval's
+  ProfileCategory category = ProfileCategory::overhead;
+  bool hrm = false;        // "hrm." prefix: the file passed through staging
+  bool hrm_stage = false;  // the "hrm.stage" container
+};
+
+/// Regroups `tagged` (group, item) pairs by group, keeping each group's
+/// items in their original order: group g is items[offset[g], offset[g+1]).
+template <class T>
+void group_by(std::size_t groups,
+              const std::vector<std::pair<std::uint32_t, T>>& tagged,
+              std::vector<std::uint32_t>& offset, std::vector<T>& items) {
+  offset.assign(groups + 1, 0);
+  for (const auto& entry : tagged) ++offset[entry.first + 1];
+  for (std::size_t g = 0; g < groups; ++g) offset[g + 1] += offset[g];
+  std::vector<std::uint32_t> cursor(offset.begin(), offset.end() - 1);
+  items.resize(tagged.size());
+  for (const auto& [g, item] : tagged) items[cursor[g]++] = item;
+}
 
 bool in_any(const std::vector<Window>& windows, SimTime a, SimTime b) {
   for (const auto& w : windows) {
@@ -157,34 +174,31 @@ const FileProfile* TimeWhereProfile::find(std::string_view file) const {
   return nullptr;
 }
 
-TimeWhereProfile build_profile(const std::vector<SpanRecord>& raw_spans,
-                               const std::vector<FlightEvent>& events,
-                               common::SimTime at,
+TimeWhereProfile build_profile(const Tracer& tracer,
+                               const FlightRecorder& recorder,
                                const ProfileOptions& options) {
+  const SimTime at = tracer.now();
+  const std::deque<FlightEvent>& events = recorder.events();
+  const std::vector<SpanRow>& rows = tracer.span_rows();
   TimeWhereProfile profile;
   profile.root_span = options.root_span;
   profile.at = at;
+  profile.dropped_spans = tracer.dropped();
 
-  // Clamp any still-open span to the capture time so truncated runs
-  // decompose with real durations.
-  std::vector<SpanRecord> spans = raw_spans;
-  for (auto& rec : spans) {
-    if (rec.open()) {
-      rec.end = at;
-      rec.clamped = true;
-    }
+  std::vector<NameFacts> facts(tracer.symbol_count());
+  for (std::size_t s = 0; s < facts.size(); ++s) {
+    const std::string_view name = tracer.symbol(static_cast<Symbol>(s));
+    facts[s].decides = span_decides(name, facts[s].category);
+    facts[s].hrm = starts_with(name, "hrm.");
+    facts[s].hrm_stage = name == "hrm.stage";
   }
-
-  std::unordered_map<SpanId, const SpanRecord*> by_id;
-  by_id.reserve(spans.size());
-  for (const auto& rec : spans) by_id[rec.id] = &rec;
 
   // Host breaker timelines from the global event stream.  A breaker
   // refuses traffic from `breaker.open` until the next `breaker.closed`
   // (half-open still refuses normal requests).
-  std::map<std::string, BreakerTimeline> breakers;
+  std::map<std::string_view, BreakerTimeline> breakers;
   {
-    std::map<std::string, SimTime> opened_at;
+    std::map<std::string_view, SimTime> opened_at;
     for (const auto& e : events) {
       if (!starts_with(e.name, "breaker.")) continue;
       if (e.name == "breaker.open") {
@@ -202,103 +216,140 @@ TimeWhereProfile build_profile(const std::vector<SpanRecord>& raw_spans,
     }
   }
 
-  // Collect roots and their per-track context.
-  std::vector<RootContext> roots;
-  for (const auto& rec : spans) {
-    if (rec.name != options.root_span) continue;
-    RootContext ctx;
-    ctx.root = &rec;
-    roots.push_back(std::move(ctx));
+  // Roots in (start, id) order; a span still open at capture ends at `at`.
+  const Symbol root_name = tracer.find_symbol(options.root_span);
+  std::vector<SpanId> roots;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].name == root_name) roots.push_back(i + 1);
   }
-  std::sort(roots.begin(), roots.end(),
-            [](const RootContext& a, const RootContext& b) {
-              if (a.root->start != b.root->start) {
-                return a.root->start < b.root->start;
-              }
-              return a.root->id < b.root->id;
-            });
+  std::sort(roots.begin(), roots.end(), [&tracer](SpanId a, SpanId b) {
+    const SimTime sa = tracer.row(a).start;
+    const SimTime sb = tracer.row(b).start;
+    return sa != sb ? sa < sb : a < b;
+  });
 
-  std::unordered_map<TrackId, RootContext*> by_track;
-  for (auto& ctx : roots) by_track[ctx.root->track] = &ctx;
+  // Each track's root is its last root in that order.
+  std::vector<std::uint32_t> root_of_track;  // root index + 1; 0 = none
+  for (std::size_t r = 0; r < roots.size(); ++r) {
+    const TrackId track = tracer.row(roots[r]).track;
+    if (track >= root_of_track.size()) root_of_track.resize(track + 1, 0);
+    root_of_track[track] = static_cast<std::uint32_t>(r + 1);
+  }
+  auto root_on = [&root_of_track](TrackId track) -> std::uint32_t {
+    return track < root_of_track.size() ? root_of_track[track] : 0;
+  };
 
-  // Attach descendants (walk parent chains; ids increase with creation
-  // order, so the walk terminates).
-  for (const auto& rec : spans) {
-    auto it = by_track.find(rec.track);
-    if (it == by_track.end()) continue;
-    RootContext& ctx = *it->second;
-    if (rec.id == ctx.root->id) continue;
-    SpanId p = rec.parent;
-    bool under_root = false;
-    while (p != 0) {
-      if (p == ctx.root->id) {
-        under_root = true;
-        break;
+  // Descendants: same-track spans whose parent chain reaches the root
+  // (ids increase with creation order, so the walk terminates).
+  std::vector<std::uint32_t> node_offset;
+  std::vector<Node> nodes;
+  {
+    std::vector<std::pair<std::uint32_t, Node>> tagged;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const SpanRow& row = rows[i];
+      const std::uint32_t r = root_on(row.track);
+      if (r == 0) continue;
+      const SpanId root = roots[r - 1];
+      const SpanId id = i + 1;
+      if (id == root) continue;
+      int depth = 1;
+      SpanId p = row.parent;
+      while (p != 0 && p != root && p <= rows.size()) {
+        p = rows[p - 1].parent;
+        ++depth;
       }
-      auto pit = by_id.find(p);
-      if (pit == by_id.end()) break;
-      p = pit->second->parent;
+      if (p != root) continue;
+      tagged.push_back(
+          {r - 1, Node{id, row.start, row.end_at(at), row.name, depth}});
     }
-    if (under_root) ctx.descendants.push_back(&rec);
+    group_by(roots.size(), tagged, node_offset, nodes);
   }
 
-  // Attach per-track events: backoff windows and candidate hosts.
-  for (const auto& e : events) {
-    if (e.track == 0) continue;
-    auto it = by_track.find(e.track);
-    if (it == by_track.end()) continue;
-    RootContext& ctx = *it->second;
-    if (e.name == "retry.scheduled" || e.name == "stage.retry") {
-      const SimDuration ns = backoff_ns_of(e);
-      if (ns > 0) ctx.backoff.push_back({e.at, e.at + ns});
+  // Per-track events: backoff windows and candidate hosts.
+  std::vector<std::uint32_t> event_offset;
+  std::vector<const FlightEvent*> root_events;
+  {
+    std::vector<std::pair<std::uint32_t, const FlightEvent*>> tagged;
+    for (const auto& e : events) {
+      if (e.track == 0) continue;
+      const std::uint32_t r = root_on(e.track);
+      if (r != 0) tagged.push_back({r - 1, &e});
     }
-    const std::string_view host = e.attr("host");
-    if (!host.empty() &&
-        std::find(ctx.hosts.begin(), ctx.hosts.end(), host) ==
-            ctx.hosts.end()) {
-      ctx.hosts.emplace_back(host);
-    }
+    group_by(roots.size(), tagged, event_offset, root_events);
   }
 
-  std::map<std::string, SimDuration> stack_weights;
+  std::map<std::string, SimDuration, std::less<>> stack_weights;
+  std::vector<Window> backoff;
+  std::vector<std::string_view> host_names;
+  std::vector<const BreakerTimeline*> hosts;  // nullptr: never opened
+  std::vector<SimTime> bounds;
+  std::vector<SpanId> chain;
+  std::string stack;
 
-  for (auto& ctx : roots) {
-    const SpanRecord& root = *ctx.root;
+  for (std::size_t r = 0; r < roots.size(); ++r) {
+    const SpanId root_id = roots[r];
+    const SpanRow& root = tracer.row(root_id);
+    const SimTime root_end = root.end_at(at);
+    const std::string_view root_name_text = tracer.symbol(root.name);
+    const Node* first_node = nodes.data() + node_offset[r];
+    const Node* last_node = nodes.data() + node_offset[r + 1];
+
+    backoff.clear();
+    host_names.clear();
+    for (std::uint32_t i = event_offset[r]; i < event_offset[r + 1]; ++i) {
+      const FlightEvent& e = *root_events[i];
+      if (e.name == "retry.scheduled" || e.name == "stage.retry") {
+        const SimDuration ns = backoff_ns_of(e);
+        if (ns > 0) backoff.push_back({e.at, e.at + ns});
+      }
+      const std::string_view host = e.attr("host");
+      if (!host.empty() && std::find(host_names.begin(), host_names.end(),
+                                     host) == host_names.end()) {
+        host_names.push_back(host);
+      }
+    }
+    hosts.clear();
+    for (const std::string_view host : host_names) {
+      const auto bit = breakers.find(host);
+      hosts.push_back(bit == breakers.end() ? nullptr : &bit->second);
+    }
+
     FileProfile fp;
-    fp.file = std::string(span_attr(root, "file"));
-    if (fp.file.empty()) fp.file = root.name + "#" + std::to_string(root.id);
+    fp.file = std::string(tracer.attr(root, "file"));
+    if (fp.file.empty()) {
+      fp.file = std::string(root_name_text) + "#" + std::to_string(root_id);
+    }
     fp.track = root.track;
-    fp.span = root.id;
+    fp.span = root_id;
     fp.start = root.start;
-    fp.end = root.end;
-    fp.clamped = root.clamped;
-    const std::string_view status = span_attr(root, "status");
+    fp.end = root_end;
+    fp.clamped = root.open();
+    const std::string_view status = tracer.attr(root, "status");
     fp.failed = !status.empty() && status != "ok";
     if (fp.clamped) ++profile.clamped_spans;
 
     // Elementary boundaries: descendant edges, backoff window edges, and
     // candidate-host breaker transitions, all clamped into the root span.
-    std::vector<SimTime> bounds;
+    bounds.clear();
     bounds.push_back(root.start);
-    bounds.push_back(root.end);
+    bounds.push_back(root_end);
     auto add_bound = [&](SimTime t) {
-      if (t > root.start && t < root.end) bounds.push_back(t);
+      if (t > root.start && t < root_end) bounds.push_back(t);
     };
-    ctx.first_child_start = root.end;
-    for (const SpanRecord* d : ctx.descendants) {
+    SimTime first_child_start = root_end;
+    for (const Node* d = first_node; d != last_node; ++d) {
       add_bound(d->start);
       add_bound(d->end);
-      if (starts_with(d->name, "hrm.")) fp.staged = true;
-      ctx.first_child_start = std::min(ctx.first_child_start, d->start);
+      if (facts[d->name].hrm) fp.staged = true;
+      first_child_start = std::min(first_child_start, d->start);
     }
-    for (const auto& w : ctx.backoff) {
+    for (const auto& w : backoff) {
       add_bound(w.begin);
       add_bound(w.end);
     }
-    for (const auto& host : ctx.hosts) {
-      auto bit = breakers.find(host);
-      if (bit == breakers.end()) continue;
-      for (const auto& w : bit->second.open) {
+    for (const BreakerTimeline* timeline : hosts) {
+      if (timeline == nullptr) continue;
+      for (const auto& w : timeline->open) {
         add_bound(w.begin);
         add_bound(w.end);
       }
@@ -307,10 +358,9 @@ TimeWhereProfile build_profile(const std::vector<SpanRecord>& raw_spans,
     bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
 
     auto all_breakers_open = [&](SimTime a, SimTime b) {
-      if (ctx.hosts.empty()) return false;
-      for (const auto& host : ctx.hosts) {
-        auto bit = breakers.find(host);
-        if (bit == breakers.end() || !bit->second.covers(a, b)) return false;
+      if (hosts.empty()) return false;
+      for (const BreakerTimeline* timeline : hosts) {
+        if (timeline == nullptr || !timeline->covers(a, b)) return false;
       }
       return true;
     };
@@ -321,38 +371,31 @@ TimeWhereProfile build_profile(const std::vector<SpanRecord>& raw_spans,
       const SimTime a = bounds[i];
       const SimTime b = bounds[i + 1];
       if (b <= a) continue;
-      const SpanRecord* deepest = &root;
-      int deepest_depth = 0;
-      for (const SpanRecord* d : ctx.descendants) {
+      const Node* deepest = nullptr;  // nullptr: the root itself
+      for (const Node* d = first_node; d != last_node; ++d) {
         if (d->start > a || d->end < b) continue;
-        int depth = 0;
-        for (SpanId p = d->id; p != 0 && p != root.id;) {
-          auto pit = by_id.find(p);
-          if (pit == by_id.end()) break;
-          p = pit->second->parent;
-          ++depth;
-        }
-        if (depth > deepest_depth ||
-            (depth == deepest_depth &&
+        if (deepest == nullptr || d->depth > deepest->depth ||
+            (d->depth == deepest->depth &&
              (d->start > deepest->start ||
               (d->start == deepest->start && d->id > deepest->id)))) {
           deepest = d;
-          deepest_depth = depth;
         }
       }
+      const SpanId deepest_id = deepest != nullptr ? deepest->id : root_id;
+      const NameFacts& name =
+          facts[deepest != nullptr ? deepest->name : root.name];
 
-      ProfileCategory cat;
-      bool gap = false;
-      if (!span_decides(deepest->name, cat)) {
-        gap = true;
-        if (deepest == &root && b <= ctx.first_child_start) {
+      ProfileCategory cat = name.category;
+      const bool gap = !name.decides;
+      if (gap) {
+        if (deepest == nullptr && b <= first_child_start) {
           cat = ProfileCategory::queue_wait;
-        } else if (deepest->name == "hrm.stage") {
-          cat = in_any(ctx.backoff, a, b) ? ProfileCategory::backoff
-                                          : ProfileCategory::stage;
+        } else if (name.hrm_stage) {
+          cat = in_any(backoff, a, b) ? ProfileCategory::backoff
+                                      : ProfileCategory::stage;
         } else if (all_breakers_open(a, b)) {
           cat = ProfileCategory::breaker_wait;
-        } else if (in_any(ctx.backoff, a, b)) {
+        } else if (in_any(backoff, a, b)) {
           cat = ProfileCategory::backoff;
         } else {
           cat = ProfileCategory::overhead;
@@ -363,38 +406,43 @@ TimeWhereProfile build_profile(const std::vector<SpanRecord>& raw_spans,
 
       // Collapsed stack: root → deepest chain, plus a synthetic leaf
       // frame for gap intervals.
-      std::vector<const SpanRecord*> chain;
-      for (const SpanRecord* s = deepest; s != nullptr && s->id != root.id;) {
+      chain.clear();
+      for (SpanId s = deepest_id; s != 0 && s != root_id && s <= rows.size();
+           s = rows[s - 1].parent) {
         chain.push_back(s);
-        auto pit = by_id.find(s->parent);
-        s = pit == by_id.end() ? nullptr : pit->second;
       }
-      std::string stack = root.name;
+      stack.assign(root_name_text);
       for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
         stack += ';';
-        stack += (*it)->name;
+        stack += tracer.symbol(tracer.row(*it).name);
       }
       if (gap) {
         stack += ';';
         stack += gap_frame(cat);
       }
-      stack_weights[stack] += b - a;
+      auto weight = stack_weights.find(stack);
+      if (weight == stack_weights.end()) {
+        weight = stack_weights.emplace(stack, 0).first;
+      }
+      weight->second += b - a;
 
       // Critical path: extend the previous step when the deepest span and
       // category repeat, else begin a new one.
-      const std::string frame = gap ? gap_frame(cat) : deepest->name;
       if (!fp.critical_path.empty() &&
-          fp.critical_path.back().span == deepest->id &&
+          fp.critical_path.back().span == deepest_id &&
           fp.critical_path.back().category == cat &&
           fp.critical_path.back().end == a) {
         fp.critical_path.back().end = b;
       } else {
         CriticalStep step;
-        step.frame = frame;
+        step.frame = gap ? std::string(gap_frame(cat))
+                         : std::string(tracer.symbol(
+                               deepest != nullptr ? deepest->name
+                                                  : root.name));
         step.category = cat;
         step.start = a;
         step.end = b;
-        step.span = deepest->id;
+        step.span = deepest_id;
         fp.critical_path.push_back(std::move(step));
       }
     }
@@ -435,21 +483,10 @@ TimeWhereProfile build_profile(const std::vector<SpanRecord>& raw_spans,
   }
 
   profile.stacks.reserve(stack_weights.size());
-  for (auto& [stack, self] : stack_weights) {
-    profile.stacks.push_back(StackWeight{stack, self});
+  for (auto& [stack_key, self] : stack_weights) {
+    profile.stacks.push_back(StackWeight{stack_key, self});
   }
   profile.files_profiled = profile.files.size();
-  return profile;
-}
-
-TimeWhereProfile build_profile(const Tracer& tracer,
-                               const FlightRecorder& recorder,
-                               const ProfileOptions& options) {
-  std::vector<FlightEvent> events(recorder.events().begin(),
-                                  recorder.events().end());
-  TimeWhereProfile profile =
-      build_profile(tracer.closed_spans(), events, tracer.now(), options);
-  profile.dropped_spans = tracer.dropped();
   return profile;
 }
 

@@ -149,15 +149,9 @@ struct TimeWhereProfile {
   std::string render() const;
 };
 
-/// Decompose every `options.root_span` span.  `spans` should come from
-/// Tracer::closed_spans() (or a manifest); any still-open span is clamped
-/// to `at`.  `events` is the flight-recorder stream (retained window).
-TimeWhereProfile build_profile(const std::vector<SpanRecord>& spans,
-                               const std::vector<FlightEvent>& events,
-                               common::SimTime at,
-                               const ProfileOptions& options = {});
-
-/// Convenience: capture from a live tracer + recorder at tracer.now().
+/// Decompose every `options.root_span` span of `tracer`, read in place and
+/// captured at tracer.now(): a span still open then is clamped there.
+/// `recorder`'s retained events classify the gaps between spans.
 TimeWhereProfile build_profile(const Tracer& tracer,
                                const FlightRecorder& recorder,
                                const ProfileOptions& options = {});

@@ -7,12 +7,17 @@
 // (`cmake --preset tsan && ctest --preset tsan-obs`) exercises.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/bytebuf.hpp"
 #include "esg/testbed.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -26,6 +31,10 @@ namespace ec = esg::common;
 namespace erm = esg::rm;
 
 using ec::kSecond;
+
+// From alloc_hook.cpp: every global operator new in this binary.
+std::uint64_t heap_allocations();
+std::uint64_t heap_bytes_requested();
 
 namespace {
 
@@ -277,15 +286,18 @@ TEST(Tracer, NestingAndParentInference) {
     inner.end();
     now = 30;
   }
-  const auto spans = tracer.spans();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].name, "outer");
-  EXPECT_EQ(spans[0].parent, 0u);
-  EXPECT_EQ(spans[1].name, "inner");
-  EXPECT_EQ(spans[1].parent, spans[0].id);
-  EXPECT_EQ(spans[1].start, 10);
-  EXPECT_EQ(spans[1].end, 20);
-  EXPECT_EQ(spans[0].end, 30);
+  const auto& rows = tracer.span_rows();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(tracer.symbol(rows[0].name), "outer");
+  EXPECT_EQ(tracer.symbol(rows[0].category), "test");
+  EXPECT_EQ(rows[0].parent, 0u);
+  EXPECT_EQ(tracer.symbol(rows[1].name), "inner");
+  EXPECT_EQ(rows[1].parent, 1u);
+  EXPECT_EQ(rows[1].start, 10);
+  EXPECT_EQ(rows[1].end, 20);
+  EXPECT_EQ(rows[0].end, 30);
+  // Interned: both spans share the category symbol.
+  EXPECT_EQ(rows[0].category, rows[1].category);
 }
 
 TEST(Tracer, TracksIsolateOpenStacks) {
@@ -296,11 +308,39 @@ TEST(Tracer, TracksIsolateOpenStacks) {
   auto a = tracer.span("a", "", t1);
   auto b = tracer.span("b", "", t2);
   auto a_child = tracer.span("a.child", "", t1);
-  const auto spans = tracer.spans();
-  ASSERT_EQ(spans.size(), 3u);
-  EXPECT_EQ(spans[2].parent, spans[0].id);  // nests under a, not b
-  EXPECT_EQ(spans[1].parent, 0u);
+  const auto& rows = tracer.span_rows();
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[2].parent, 1u);  // nests under a, not b
+  EXPECT_EQ(rows[1].parent, 0u);
   EXPECT_EQ(tracer.tracks().at(t1), "file a");
+  // Exactly the created tracks, plus main.
+  const std::map<eo::TrackId, std::string> expected = {
+      {0, "main"}, {t1, "file a"}, {t2, "file b"}};
+  EXPECT_EQ(tracer.tracks(), expected);
+}
+
+TEST(Tracer, AttributesChainPerSpanInSetOrder) {
+  ec::SimTime now = 0;
+  eo::Tracer tracer([&now] { return now; });
+  const auto a = tracer.begin("a");
+  const auto b = tracer.begin("b");
+  tracer.set_attr(a, "k1", "v1");
+  tracer.set_attr(b, "k1", "other");
+  tracer.set_attr(a, "k2", "");
+  tracer.set_attr(a, "k1", "again");
+  std::vector<std::pair<std::string, std::string>> seen;
+  tracer.for_each_attr(tracer.row(a), [&](std::string_view k,
+                                          std::string_view v) {
+    seen.emplace_back(k, v);
+  });
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"k1", "v1"}, {"k2", ""}, {"k1", "again"}};
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(tracer.attr(tracer.row(a), "k1"), "v1");  // the first wins
+  EXPECT_EQ(tracer.attr(tracer.row(b), "k1"), "other");
+  EXPECT_EQ(tracer.attr(tracer.row(b), "k2"), "");
+  EXPECT_EQ(tracer.attr(tracer.row(b), "never-set"), "");
+  EXPECT_EQ(tracer.find_symbol("never-set"), eo::kNoSymbol);
 }
 
 TEST(Tracer, DropsNewestWhenFullAndCounts) {
@@ -349,15 +389,21 @@ TEST(Tracer, ClosedSpansClampOpenSpansAtCaptureClock) {
   auto open = tracer.span("open");
   now = 350;
 
-  const auto closed = tracer.closed_spans();
-  ASSERT_EQ(closed.size(), 2u);
-  EXPECT_EQ(closed[0].end, 200);
-  EXPECT_FALSE(closed[0].clamped);
-  EXPECT_EQ(closed[1].end, 350);  // capture clock, not -1
-  EXPECT_TRUE(closed[1].clamped);
-  EXPECT_EQ(closed[1].duration(), 150);  // started at 200, clamped at 350
-  // The live records are untouched: the span is still open.
-  EXPECT_TRUE(tracer.spans()[1].open());
+  // Readers clamp a still-open row to the capture clock; the row itself
+  // stays open.
+  const auto& rows = tracer.span_rows();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_FALSE(rows[0].open());
+  EXPECT_EQ(rows[0].end_at(tracer.now()), 200);
+  EXPECT_TRUE(rows[1].open());
+  EXPECT_EQ(rows[1].end_at(tracer.now()), 350);  // capture clock, not -1
+  EXPECT_EQ(rows[1].end_at(tracer.now()) - rows[1].start, 150);
+  const std::string json = eo::to_chrome_trace(tracer);
+  EXPECT_NE(json.find("\"dur\":0.150,\"pid\":1,\"tid\":0,\"args\":{"
+                      "\"span_id\":2,\"parent_id\":0,\"clamped\":\"true\"}"),
+            std::string::npos)
+      << json;
+  EXPECT_TRUE(tracer.row(2).open());
 }
 
 TEST(Tracer, DropHookReportsRunningTotalAndCapacityGrows) {
@@ -390,6 +436,109 @@ TEST(Tracer, SimulationSurfacesDropsAsGauge) {
             1.0);
 }
 
+// Random begin/end interleavings over several tracks against a reference
+// model: a per-track stack of open ids with erase-anywhere.  Every inferred
+// parent, every drop and every end time must match.
+TEST(Tracer, OpenSpanChainMatchesStackWithEraseModel) {
+  for (std::uint32_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937 rng(seed);
+    ec::SimTime now = 0;
+    constexpr std::size_t kCapacity = 300;
+    eo::Tracer tracer([&now] { return now; }, kCapacity);
+    constexpr int kTracks = 4;
+    std::vector<std::vector<eo::SpanId>> stacks(kTracks);
+    struct Expected {
+      eo::SpanId parent = 0;
+      eo::TrackId track = 0;
+      ec::SimTime end = -1;
+    };
+    std::vector<Expected> model;  // id = index + 1
+    std::size_t drops = 0;
+    auto pick = [&rng](std::size_t n) {
+      return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+    };
+    for (int op = 0; op < 600; ++op) {
+      ++now;
+      const std::size_t kind = pick(10);
+      if (kind < 5) {
+        const auto track = static_cast<eo::TrackId>(pick(kTracks));
+        // One begin in four names an explicit parent (possibly on another
+        // track, possibly already ended).
+        const eo::SpanId explicit_parent =
+            kind == 0 && !model.empty() ? pick(model.size()) + 1 : 0;
+        const eo::SpanId id =
+            tracer.begin("s", "c", track, explicit_parent);
+        if (model.size() >= kCapacity) {
+          EXPECT_EQ(id, 0u);
+          ++drops;
+          continue;
+        }
+        auto& stack = stacks[track];
+        const eo::SpanId parent =
+            explicit_parent != 0 ? explicit_parent
+                                 : (stack.empty() ? 0 : stack.back());
+        model.push_back({parent, track, -1});
+        ASSERT_EQ(id, model.size());
+        stack.push_back(id);
+      } else if (kind < 9 && !model.empty()) {
+        // End any span: open ones out of LIFO order, ended ones again.
+        const eo::SpanId id = pick(model.size()) + 1;
+        tracer.end(id);
+        Expected& e = model[id - 1];
+        if (e.end < 0) {
+          e.end = now;
+          auto& stack = stacks[e.track];
+          stack.erase(std::find(stack.begin(), stack.end(), id));
+        }
+      } else {
+        tracer.end(0);  // a dropped span's id: a no-op
+        tracer.end(model.size() + 1000);  // never issued: a no-op
+      }
+    }
+    const auto& rows = tracer.span_rows();
+    ASSERT_EQ(rows.size(), model.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i].parent, model[i].parent) << "seed " << seed;
+      EXPECT_EQ(rows[i].track, model[i].track) << "seed " << seed;
+      EXPECT_EQ(rows[i].end, model[i].end) << "seed " << seed;
+    }
+    EXPECT_EQ(tracer.dropped(), drops) << "seed " << seed;
+  }
+}
+
+// Tracing is a hot path: 100,000 spans with four attributes each must cost
+// a number of heap allocations logarithmic in the span count (geometric
+// growth of a few columns), and at most kBytesPerSpan requested bytes per
+// span, counting every reallocation of every column.
+TEST(TracerMemory, SpansCostLogarithmicAllocationsAndBoundedBytes) {
+  constexpr int kSpans = 100'000;
+  constexpr std::uint64_t kBytesPerSpan = 512;
+  ec::SimTime now = 0;
+  eo::Tracer tracer([&now] { return now; }, /*max_spans=*/1 << 20);
+  const auto track = tracer.new_track("worker");
+  auto trace_one = [&] {
+    const eo::SpanId id = tracer.begin("net.tcp", "net", track);
+    tracer.set_attr(id, "src", "lbnl.host");
+    tracer.set_attr(id, "dst", "client");
+    tracer.set_attr(id, "streams", "4");
+    tracer.set_attr(id, "status", "ok");
+    ++now;
+    tracer.end(id);
+  };
+  trace_one();  // interns the name, category and keys
+  const std::uint64_t allocs_before = heap_allocations();
+  const std::uint64_t bytes_before = heap_bytes_requested();
+  for (int i = 1; i < kSpans; ++i) trace_one();
+  const std::uint64_t allocs = heap_allocations() - allocs_before;
+  const std::uint64_t bytes = heap_bytes_requested() - bytes_before;
+  ASSERT_EQ(tracer.span_count(), static_cast<std::size_t>(kSpans));
+  // log2(100,000) ≈ 17; four growing columns (rows, attributes, arena and
+  // the open-span heads) double at most 17 + log2(4) + log2(16) times each.
+  EXPECT_LE(allocs, 4u * 24u) << allocs << " allocations";
+  EXPECT_LE(bytes, kBytesPerSpan * kSpans)
+      << bytes / kSpans << " requested bytes per span";
+}
+
 // ------------------------------------------------------- span move hygiene
 
 TEST(Span, MoveAssignEndsTheOverwrittenSpan) {
@@ -400,10 +549,10 @@ TEST(Span, MoveAssignEndsTheOverwrittenSpan) {
   auto b = tracer.span("b");
   now = 20;
   a = std::move(b);  // "a" must end now, not leak open
-  const auto spans = tracer.spans();
-  EXPECT_EQ(spans[0].end, 20);
-  EXPECT_TRUE(spans[1].open());
-  EXPECT_EQ(a.id(), spans[1].id);
+  const auto& rows = tracer.span_rows();
+  EXPECT_EQ(rows[0].end, 20);
+  EXPECT_TRUE(rows[1].open());
+  EXPECT_EQ(a.id(), 2u);
 }
 
 TEST(Span, SelfMoveAssignIsANoOp) {
@@ -414,7 +563,7 @@ TEST(Span, SelfMoveAssignIsANoOp) {
   eo::Span* alias = &a;
   a = std::move(*alias);
   EXPECT_TRUE(static_cast<bool>(a));
-  EXPECT_TRUE(tracer.spans()[0].open());  // still open, not self-ended
+  EXPECT_TRUE(tracer.row(1).open());  // still open, not self-ended
 }
 
 TEST(Span, DoubleEndAndMovedFromDestructionAreHarmless) {
@@ -430,9 +579,9 @@ TEST(Span, DoubleEndAndMovedFromDestructionAreHarmless) {
     (void)b;
     // both a (moved-from) and b (already ended) destruct here
   }
-  const auto spans = tracer.spans();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].end, 5);
+  const auto& rows = tracer.span_rows();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].end, 5);
 }
 
 TEST(Tracer, ExplicitParentCrossesTracks) {
@@ -442,17 +591,17 @@ TEST(Tracer, ExplicitParentCrossesTracks) {
   const auto t2 = tracer.new_track("io pool");
   const auto root = tracer.begin("request", "", t1);
   // Work handed to another track keeps its causal parent when given
-  // explicitly; inference only consults the *local* open stack.
+  // explicitly; inference only consults the *local* open spans.
   const auto remote = tracer.begin("io", "", t2, root);
   const auto inferred = tracer.begin("io.child", "", t2);
   tracer.end(inferred);
   tracer.end(remote);
   tracer.end(root);
-  const auto spans = tracer.spans();
-  ASSERT_EQ(spans.size(), 3u);
-  EXPECT_EQ(spans[1].parent, root);
-  EXPECT_EQ(spans[1].track, t2);
-  EXPECT_EQ(spans[2].parent, spans[1].id);  // inferred from t2's stack
+  const auto& rows = tracer.span_rows();
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[1].parent, root);
+  EXPECT_EQ(rows[1].track, t2);
+  EXPECT_EQ(rows[2].parent, remote);  // inferred from t2's open spans
 }
 
 // --------------------------------------------------------------- exporters
@@ -548,9 +697,31 @@ namespace {
 struct ScenarioResult {
   std::string metrics_json;
   std::string trace_json;
-  std::vector<eo::SpanRecord> spans;
+  bool span_chain = false;  // net.tcp ⊂ gridftp.get ⊂ rm.transfer ⊂ rm.file
   eo::MetricsSnapshot snapshot;
 };
+
+// Whether the first net.tcp span on a worker track that chains up through
+// gridftp.get -> rm.transfer -> rm.file keeps the whole chain on its track.
+bool has_request_span_chain(const eo::Tracer& tracer) {
+  auto parent_named = [&tracer](const eo::SpanRow& child,
+                                std::string_view name) -> const eo::SpanRow* {
+    if (child.parent == 0 || child.parent > tracer.span_count()) {
+      return nullptr;
+    }
+    const eo::SpanRow& parent = tracer.row(child.parent);
+    return tracer.symbol(parent.name) == name ? &parent : nullptr;
+  };
+  for (const auto& span : tracer.span_rows()) {
+    if (tracer.symbol(span.name) != "net.tcp" || span.track == 0) continue;
+    const auto* ftp = parent_named(span, "gridftp.get");
+    const auto* transfer = ftp ? parent_named(*ftp, "rm.transfer") : nullptr;
+    const auto* file = transfer ? parent_named(*transfer, "rm.file") : nullptr;
+    if (file == nullptr) continue;
+    return ftp->track == span.track && file->track == span.track;
+  }
+  return false;
+}
 
 // A full testbed pass: publish a 2-chunk dataset (also archived on tape),
 // warm the NWS sensors, stage one file through the HRM twice (miss + hit),
@@ -601,14 +772,8 @@ ScenarioResult run_scenario() {
       testbed.simulation().now());
   out.metrics_json = eo::to_json(out.snapshot);
   out.trace_json = eo::to_chrome_trace(testbed.simulation().tracer());
-  out.spans = testbed.simulation().tracer().spans();
+  out.span_chain = has_request_span_chain(testbed.simulation().tracer());
   return out;
-}
-
-const eo::SpanRecord* find_parent(const std::vector<eo::SpanRecord>& spans,
-                                  const eo::SpanRecord& child) {
-  if (child.parent == 0 || child.parent > spans.size()) return nullptr;
-  return &spans[child.parent - 1];
 }
 
 }  // namespace
@@ -644,21 +809,7 @@ TEST(ObsEndToEnd, RequestPathMetricsAndSpans) {
 
   // Span nesting: a net.tcp span on a worker track chains up through
   // gridftp.get -> rm.transfer -> rm.file.
-  bool found_chain = false;
-  for (const auto& span : run.spans) {
-    if (span.name != "net.tcp" || span.track == 0) continue;
-    const auto* ftp = find_parent(run.spans, span);
-    if (ftp == nullptr || ftp->name != "gridftp.get") continue;
-    const auto* transfer = find_parent(run.spans, *ftp);
-    if (transfer == nullptr || transfer->name != "rm.transfer") continue;
-    const auto* file = find_parent(run.spans, *transfer);
-    if (file == nullptr || file->name != "rm.file") continue;
-    EXPECT_EQ(ftp->track, span.track);
-    EXPECT_EQ(file->track, span.track);
-    found_chain = true;
-    break;
-  }
-  EXPECT_TRUE(found_chain);
+  EXPECT_TRUE(run.span_chain);
 
   expect_balanced_json(run.metrics_json);
   expect_balanced_json(run.trace_json);
@@ -669,4 +820,12 @@ TEST(ObsEndToEnd, SameSeedRunsExportIdentically) {
   const ScenarioResult b = run_scenario();
   EXPECT_EQ(a.metrics_json, b.metrics_json);
   EXPECT_EQ(a.trace_json, b.trace_json);
+}
+
+// The Chrome trace of the scenario, byte for byte: any change to span ids,
+// inferred parents, attribute order, clamping or escaping moves the digest.
+TEST(ObsEndToEnd, ChromeTraceBytesArePinned) {
+  const ScenarioResult run = run_scenario();
+  EXPECT_EQ(ec::fnv1a64(run.trace_json), 0x8408589df58c1eb7ULL)
+      << run.trace_json.size() << " bytes";
 }

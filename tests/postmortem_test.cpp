@@ -160,8 +160,11 @@ BrownoutRun brownout_run(ec::SimTime brownout_start) {
       grid.sim.metrics().snapshot(grid.sim.now()));
   out.manifest_json = out.manifest.to_json();
   out.pm = eo::build_postmortem(grid.sim.flight_recorder(), "big.ncx");
-  for (const auto& s : grid.sim.tracer().spans()) {
-    if (s.name == "rm.file" && !s.open()) out.span_duration = s.duration();
+  const auto& tracer = grid.sim.tracer();
+  for (const auto& s : tracer.span_rows()) {
+    if (tracer.symbol(s.name) == "rm.file" && !s.open()) {
+      out.span_duration = s.end - s.start;
+    }
   }
   return out;
 }

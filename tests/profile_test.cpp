@@ -9,8 +9,11 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "common/bytebuf.hpp"
 #include "grid_fixture.hpp"
 #include "hrm/hrm.hpp"
 #include "obs/flame.hpp"
@@ -30,33 +33,41 @@ using esg::testing::MiniGrid;
 
 namespace {
 
-eo::SpanRecord make_span(eo::SpanId id, eo::SpanId parent, eo::TrackId track,
-                         std::string name, ec::SimTime start, ec::SimTime end,
-                         std::vector<std::pair<std::string, std::string>>
-                             attrs = {}) {
-  eo::SpanRecord rec;
-  rec.id = id;
-  rec.parent = parent;
-  rec.track = track;
-  rec.name = std::move(name);
-  rec.start = start;
-  rec.end = end;
-  rec.attrs = std::move(attrs);
-  return rec;
-}
+using Attrs = std::vector<std::pair<std::string, std::string>>;
 
-eo::FlightEvent make_event(ec::SimTime at, eo::TrackId track,
-                           std::string name, std::string target,
-                           std::vector<std::pair<std::string, std::string>>
-                               attrs = {}) {
-  eo::FlightEvent e;
-  e.at = at;
-  e.track = track;
-  e.name = std::move(name);
-  e.target = std::move(target);
-  e.attrs = std::move(attrs);
-  return e;
-}
+// A hand-made trace in the tracer's own store.  Spans are added in id order
+// (ids 1..n) at their start times and ended at their end times (end < 0
+// leaves the span open); flight events are recorded at their own times.
+// profile() captures both at `at`.
+struct HandTrace {
+  ec::SimTime now = 0;
+  eo::Tracer tracer{[this] { return now; }};
+  eo::FlightRecorder recorder{[this] { return now; }};
+
+  void span(eo::SpanId id, eo::SpanId parent, eo::TrackId track,
+            std::string_view name, ec::SimTime start, ec::SimTime end,
+            const Attrs& attrs = {}) {
+    now = start;
+    ASSERT_EQ(tracer.begin(name, {}, track, parent), id);
+    for (const auto& [k, v] : attrs) tracer.set_attr(id, k, v);
+    if (end >= 0) {
+      now = end;
+      tracer.end(id);
+    }
+  }
+
+  void event(ec::SimTime at, eo::TrackId track, std::string name,
+             std::string target, Attrs attrs = {}) {
+    now = at;
+    recorder.record({}, std::move(name), std::move(target), std::move(attrs),
+                    track);
+  }
+
+  eo::TimeWhereProfile profile(ec::SimTime at) {
+    now = at;
+    return eo::build_profile(tracer, recorder);
+  }
+};
 
 void expect_tiles(const eo::FileProfile& fp) {
   EXPECT_EQ(fp.category_sum(), fp.total()) << fp.file;
@@ -93,14 +104,12 @@ TEST(Profile, DeepestSpanWinsAndGapsClassify) {
   // rm.file [0,100] with lookup [20,30], transfer [30,90] wrapping a
   // net.tcp [40,80].  Before the first child is queue wait; uncovered
   // transfer/root remainder is overhead.
-  std::vector<eo::SpanRecord> spans = {
-      make_span(1, 0, 1, "rm.file", 0, 100,
-                {{"file", "f.ncx"}, {"status", "ok"}}),
-      make_span(2, 1, 1, "rm.lookup", 20, 30),
-      make_span(3, 1, 1, "rm.transfer", 30, 90),
-      make_span(4, 3, 1, "net.tcp", 40, 80),
-  };
-  const auto profile = eo::build_profile(spans, {}, 100);
+  HandTrace t;
+  t.span(1, 0, 1, "rm.file", 0, 100, {{"file", "f.ncx"}, {"status", "ok"}});
+  t.span(2, 1, 1, "rm.lookup", 20, 30);
+  t.span(3, 1, 1, "rm.transfer", 30, 90);
+  t.span(4, 3, 1, "net.tcp", 40, 80);
+  const auto profile = t.profile(100);
   ASSERT_EQ(profile.files.size(), 1u);
   const auto& fp = profile.files[0];
   EXPECT_EQ(fp.file, "f.ncx");
@@ -125,22 +134,19 @@ TEST(Profile, DeepestSpanWinsAndGapsClassify) {
 }
 
 TEST(Profile, BackoffWindowsAndBreakerWaitComeFromEvents) {
-  std::vector<eo::SpanRecord> spans = {
-      make_span(1, 0, 5, "rm.file", 0, 100, {{"file", "g.ncx"}}),
-      make_span(2, 1, 5, "gridftp.get", 0, 10),
-      make_span(3, 1, 5, "gridftp.get", 50, 60),
-  };
-  std::vector<eo::FlightEvent> events = {
-      // 20 ns of scheduled retry sleep starting when the first attempt
-      // fails; the host attr marks h1 as this file's candidate replica.
-      make_event(10, 5, "retry.scheduled", "g.ncx",
-                 {{"host", "h1"}, {"backoff_ns", "20"}}),
-      // h1's breaker refuses traffic during [30,50]: with every candidate
-      // open, the wait is breaker time, not generic overhead.
-      make_event(30, 0, "breaker.open", "h1"),
-      make_event(50, 0, "breaker.closed", "h1"),
-  };
-  const auto profile = eo::build_profile(spans, events, 100);
+  HandTrace t;
+  t.span(1, 0, 5, "rm.file", 0, 100, {{"file", "g.ncx"}});
+  t.span(2, 1, 5, "gridftp.get", 0, 10);
+  t.span(3, 1, 5, "gridftp.get", 50, 60);
+  // 20 ns of scheduled retry sleep starting when the first attempt
+  // fails; the host attr marks h1 as this file's candidate replica.
+  t.event(10, 5, "retry.scheduled", "g.ncx",
+          {{"host", "h1"}, {"backoff_ns", "20"}});
+  // h1's breaker refuses traffic during [30,50]: with every candidate
+  // open, the wait is breaker time, not generic overhead.
+  t.event(30, 0, "breaker.open", "h1");
+  t.event(50, 0, "breaker.closed", "h1");
+  const auto profile = t.profile(100);
   ASSERT_EQ(profile.files.size(), 1u);
   const auto& fp = profile.files[0];
   EXPECT_EQ(fp.self_time(eo::ProfileCategory::backoff), 20);
@@ -157,15 +163,12 @@ TEST(Profile, BackoffWindowsAndBreakerWaitComeFromEvents) {
 }
 
 TEST(Profile, StageGapsSplitIntoStagingAndStageRetryBackoff) {
-  std::vector<eo::SpanRecord> spans = {
-      make_span(1, 0, 2, "rm.file", 0, 60, {{"file", "deep.ncx"}}),
-      make_span(2, 1, 2, "hrm.stage", 0, 50),
-      make_span(3, 2, 2, "hrm.stage.rpc", 0, 5),
-  };
-  std::vector<eo::FlightEvent> events = {
-      make_event(10, 2, "stage.retry", "deep.ncx", {{"backoff_ns", "10"}}),
-  };
-  const auto profile = eo::build_profile(spans, events, 60);
+  HandTrace t;
+  t.span(1, 0, 2, "rm.file", 0, 60, {{"file", "deep.ncx"}});
+  t.span(2, 1, 2, "hrm.stage", 0, 50);
+  t.span(3, 2, 2, "hrm.stage.rpc", 0, 5);
+  t.event(10, 2, "stage.retry", "deep.ncx", {{"backoff_ns", "10"}});
+  const auto profile = t.profile(60);
   ASSERT_EQ(profile.files.size(), 1u);
   const auto& fp = profile.files[0];
   EXPECT_TRUE(fp.staged);
@@ -179,10 +182,9 @@ TEST(Profile, StageGapsSplitIntoStagingAndStageRetryBackoff) {
 }
 
 TEST(Profile, OpenRootSpansClampAtCaptureAndAreCounted) {
-  std::vector<eo::SpanRecord> spans = {
-      make_span(1, 0, 1, "rm.file", 10, -1, {{"file", "stuck.ncx"}}),
-  };
-  const auto profile = eo::build_profile(spans, {}, 110);
+  HandTrace t;
+  t.span(1, 0, 1, "rm.file", 10, -1, {{"file", "stuck.ncx"}});
+  const auto profile = t.profile(110);
   ASSERT_EQ(profile.files.size(), 1u);
   const auto& fp = profile.files[0];
   EXPECT_TRUE(fp.clamped);
@@ -195,11 +197,10 @@ TEST(Profile, OpenRootSpansClampAtCaptureAndAreCounted) {
 }
 
 TEST(Profile, FailedStatusAttrMarksTheFile) {
-  std::vector<eo::SpanRecord> spans = {
-      make_span(1, 0, 1, "rm.file", 0, 10,
-                {{"file", "bad.ncx"}, {"status", "not_found: no replicas"}}),
-  };
-  const auto profile = eo::build_profile(spans, {}, 10);
+  HandTrace t;
+  t.span(1, 0, 1, "rm.file", 0, 10,
+         {{"file", "bad.ncx"}, {"status", "not_found: no replicas"}});
+  const auto profile = t.profile(10);
   ASSERT_EQ(profile.files.size(), 1u);
   EXPECT_TRUE(profile.files[0].failed);
   EXPECT_NE(eo::render_critical_path(profile.files[0]).find("[failed]"),
@@ -441,4 +442,11 @@ TEST(ProfileEndToEnd, CondensationKeepsExemplarRowsAndTrueCount) {
   const auto parsed = eo::RunManifest::from_json(manifest.to_json());
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().to_json(), manifest.to_json());
+}
+
+// The collapsed stacks of the real request-manager run, byte for byte.
+TEST(ProfileEndToEnd, CollapsedStacksBytesArePinned) {
+  ProfiledWorld w;
+  const std::string flame = eo::to_collapsed_stacks(w.run());
+  EXPECT_EQ(ec::fnv1a64(flame), 0xbfe50a49ec138677ULL) << flame;
 }
